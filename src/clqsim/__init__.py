@@ -52,6 +52,7 @@ from .engine import (
     run_network,
     run_single,
     trace_to_csv,
+    ucb_queue_paths,
 )
 from .metrics import (
     CheckResult,

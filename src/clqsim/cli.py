@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import platform
 import sys
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .engine import replay_csv_error, replay_error, run, run_single, trace_to_csv
+from .engine import replay_csv_error, replay_error, run, trace_to_csv, ucb_queue_paths
 from .instances import (
     GenerationFailed,
     ParameterError,
@@ -76,8 +77,14 @@ class ExperimentConfig:
     coupling_seeds: int = 10_000
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "coupling_seeds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
+        if self.coupling_seeds < 0:
+            raise ConfigError("coupling_seeds must be non-negative (0 disables the check)")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         for name in self.policies + ([self.benchmark] if self.benchmark else []):
@@ -417,13 +424,12 @@ def _coupling_pvalue(inst: SingleQueueInstance, n_seeds: int, horizon: int = 5) 
     and per-server service draws, on disjoint seed ranges."""
     from scipy.stats import chi2_contingency
 
-    counts: list[dict[int, int]] = [{}, {}]
+    counts: list[dict[int, int]] = []
     for arm, mode in enumerate(("shared", "independent")):
         lo = arm * n_seeds
-        for seed in range(lo, lo + n_seeds):
-            tr = run_single(inst, "ucb", horizon, seed, snapshot_stride=0, service_mode=mode)
-            v = int(tr.q[horizon - 1, 0])
-            counts[arm][v] = counts[arm].get(v, 0) + 1
+        paths = ucb_queue_paths(inst, horizon, range(lo, lo + n_seeds), mode)
+        values, freq = np.unique(paths[:, horizon - 1], return_counts=True)
+        counts.append(dict(zip(values.tolist(), freq.tolist())))
     values = sorted(set(counts[0]) | set(counts[1]))
     table = np.array([[counts[a].get(v, 0) for v in values] for a in (0, 1)])
     keep = table.sum(axis=0) >= 5  # merge sparse tail cells into the last kept one

@@ -9,6 +9,7 @@ policies is automatic.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .policies import PolicyError, PolicyHandle, PolicyState, Runner
 
 STREAM_IDS = {"arrival": 0, "service": 1, "transition": 2, "policy": 3}
 SNAPSHOT_EVERY_PERIOD_MAX = 100_000
+LOCKSTEP_BLOCK = 1024  # seeds per block of ucb_queue_paths
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,69 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
     return trace, aux_trace
 
 
+def ucb_queue_paths(
+    instance: SingleQueueInstance,
+    horizon: int,
+    seeds,
+    service_mode: str = "shared",
+) -> np.ndarray:
+    """Queue paths of single-queue UCB for many seeds, advanced in lockstep.
+
+    Row i equals run_single(instance, "ucb", horizon, seeds[i],
+    service_mode=service_mode).q[:, 0] bit for bit: each seed draws its
+    own streams, 2 log t is one scalar per period, and the per-seed index
+    arithmetic (/, sqrt, +, min, first-index argmax) is correctly rounded
+    in numpy as in the scalar loop.  Seeds run in blocks of
+    LOCKSTEP_BLOCK, so working memory beyond the returned (S, horizon+1)
+    int64 array does not grow with the seed count.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if service_mode not in ("shared", "independent"):
+        raise ValueError(f"unknown service_mode {service_mode!r}")
+    seeds = [int(s) for s in seeds]
+    paths = np.empty((len(seeds), horizon + 1), dtype=np.int64)
+    for lo in range(0, len(seeds), LOCKSTEP_BLOCK):
+        block = seeds[lo : lo + LOCKSTEP_BLOCK]
+        _ucb_block(instance, block, service_mode, paths[lo : lo + len(block)])
+    return paths
+
+
+def _ucb_block(instance, seeds, service_mode, paths):
+    """Fill paths, a (len(seeds), horizon+1) view, with one block's queue paths."""
+    b, k = len(seeds), instance.k
+    horizon = paths.shape[1] - 1
+    mu = np.asarray(instance.mu, dtype=np.float64)
+    arrive = np.array(
+        [RandomSource(s, "arrival").uniforms(horizon) for s in seeds]
+    ) <= instance.lam
+    shape = (horizon,) if service_mode == "shared" else (horizon, k)
+    u_srv = np.array([RandomSource(s, "service").uniforms(*shape) for s in seeds])
+
+    counts = np.zeros((b, k), dtype=np.int64)
+    succ = np.zeros((b, k), dtype=np.int64)
+    q = np.zeros(b, dtype=np.int64)
+    for t in range(1, horizon + 1):
+        paths[:, t - 1] = q
+        busy = np.flatnonzero(q)
+        if busy.size:
+            c = counts[busy]
+            tried = c > 0
+            idx = np.ones(c.shape)
+            idx[tried] = np.minimum(
+                1.0,
+                succ[busy][tried] / c[tried] + np.sqrt(2.0 * math.log(t) / c[tried]),
+            )
+            j = idx.argmax(axis=1)
+            u = u_srv[busy, t - 1] if service_mode == "shared" else u_srv[busy, t - 1, j]
+            s = u <= mu[j]
+            counts[busy, j] += 1
+            succ[busy, j] += s
+            q[busy] -= s
+        q += arrive[:, t - 1]
+    paths[:, horizon] = q
+
+
 def run_network(
     instance: NetworkInstance | SingleQueueInstance,
     policy: str | PolicyHandle,
@@ -456,11 +521,16 @@ def trace_to_csv(trace: Trace, path: str) -> None:
 
 
 def replay_csv_error(path: str, n: int, k: int, owner) -> str | None:
-    """Replay a trace CSV row by row; None if every transition checks out."""
+    """Replay a trace CSV row by row; None if every transition checks out.
+
+    The first row must hold the empty start that every engine trace has.
+    """
     with open(path) as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:1] != ["t"]:
         return "missing header"
+    if len(rows) < 2:
+        return "no data rows"
     prev_q = None
     prev_delta = None
     for line, row in enumerate(rows[1:], start=2):
@@ -469,10 +539,20 @@ def replay_csv_error(path: str, n: int, k: int, owner) -> str | None:
             sched = int(row[1 + n])
             arr = int(row[2 + n])
             svc = int(row[3 + n])
-            trans = row[4 + n]
+            moved = {}
+            if row[4 + n]:
+                for pair in row[4 + n].split(";"):
+                    srv_s, dest_s = pair.split(">")
+                    dest = int(dest_s)
+                    if not 0 <= dest <= n:
+                        raise ValueError(dest)
+                    moved[int(srv_s)] = dest
         except (ValueError, IndexError):
             return f"line {line}: malformed row"
-        if prev_q is not None:
+        if prev_q is None:
+            if any(qv):
+                return f"line {line}: queue vector {qv} is not the empty start"
+        else:
             expect = list(prev_q)
             for i in range(n):
                 expect[i] += prev_delta[i]
@@ -482,11 +562,6 @@ def replay_csv_error(path: str, n: int, k: int, owner) -> str | None:
         for i in range(n):
             if arr >> i & 1:
                 delta[i] += 1
-        moved = {}
-        if trans:
-            for pair in trans.split(";"):
-                srv_s, dest_s = pair.split(">")
-                moved[int(srv_s)] = int(dest_s)
         for srv in range(k):
             if svc >> srv & 1:
                 if not sched >> srv & 1:

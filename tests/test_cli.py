@@ -4,9 +4,9 @@ import os
 
 import pytest
 
-from clqsim.cli import ConfigError, ExperimentConfig, main
-from clqsim.instances import figure1_instance, lower_bound_family
-from clqsim.model import save_instance
+from clqsim.cli import ConfigError, ExperimentConfig, _coupling_pvalue, main
+from clqsim.instances import figure1_instance, lower_bound_family, tandem_instance
+from clqsim.model import SingleQueueInstance, save_instance
 
 
 @pytest.fixture()
@@ -144,6 +144,36 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out and "seed=1" in out
 
+    def test_trace_not_starting_empty_fails(self, tmp_path, fig1_file, capsys):
+        cfg = _config(tmp_path)
+        assert main(["simulate", "-c", cfg]) == 0
+        trace = tmp_path / "out" / "trace_ucb_0.csv"
+        rows = ["t,q_0,schedule,arrivals,services,transitions"]
+        rows += [f"{t},5,0,0,0," for t in range(1, 201)]
+        trace.write_text("\n".join(rows) + "\n")
+        assert main(["verify", "-c", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL check=trace-file-replay policy=ucb seed=0: line 2:" in out
+        assert "all checks passed" not in out
+
+    def test_malformed_transitions_cell_fails(self, tmp_path, capsys):
+        save_instance(tandem_instance(2, (0.8, 0.6), 0.5), str(tmp_path / "tandem.json"))
+        cfg = _config(tmp_path, instance="tandem.json", policies=["bp-ucb"])
+        assert main(["simulate", "-c", cfg]) == 0
+        trace = tmp_path / "out" / "trace_bp-ucb_2.csv"
+        lines = trace.read_text().splitlines()
+        parts = lines[30].split(",")
+        parts[-1] = "0>1>2"
+        lines[30] = ",".join(parts)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "-c", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL check=trace-file-replay policy=bp-ucb seed=2: line 31: malformed row" in out
+
+    def test_coupling_pvalue_pinned(self):
+        inst = SingleQueueInstance(2, 0.5, (0.3, 0.7))
+        assert _coupling_pvalue(inst, 10_000) == 0.15917124425502707
+
 
 class TestMakeInstance:
     def test_figure1(self, tmp_path):
@@ -226,3 +256,36 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(
                 {"instance": "x.json", "policies": ["ucb"], "horizon": 0}
             )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("horizon", "50"),
+            ("horizon", 50.0),
+            ("horizon", True),
+            ("coupling_seeds", "200"),
+            ("coupling_seeds", 1.5),
+            ("coupling_seeds", False),
+            ("coupling_seeds", -5),
+        ],
+    )
+    def test_rejects_bad_integer_fields(self, key, value):
+        doc = {"instance": "x.json", "policies": ["ucb"], "horizon": 5, key: value}
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(doc)
+
+    def test_zero_coupling_seeds_accepted(self):
+        cfg = ExperimentConfig.from_dict(
+            {"instance": "x.json", "policies": ["ucb"], "horizon": 5, "coupling_seeds": 0}
+        )
+        assert cfg.coupling_seeds == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    @pytest.mark.parametrize(
+        "overrides", [{"horizon": "50"}, {"coupling_seeds": "200"}, {"coupling_seeds": -5}]
+    )
+    def test_bad_integer_field_exit_one(self, tmp_path, fig1_file, capsys, command, overrides):
+        cfg = _config(tmp_path, **overrides)
+        assert main([command, "-c", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from clqsim import engine
 from clqsim.engine import (
     RandomSource,
     replay_csv_error,
@@ -11,6 +12,7 @@ from clqsim.engine import (
     run_network,
     run_single,
     trace_to_csv,
+    ucb_queue_paths,
 )
 from clqsim.instances import figure1_instance, tandem_instance
 from clqsim.model import (
@@ -238,6 +240,40 @@ class TestCoupledPair:
             run_coupled_single(inst, "ucb", 10, 0)
 
 
+class TestUcbQueuePaths:
+    @pytest.mark.parametrize(
+        "inst", [figure1_instance(), SingleQueueInstance(2, 0.5, (0.3, 0.7))]
+    )
+    @pytest.mark.parametrize("mode", ["shared", "independent"])
+    @pytest.mark.parametrize("horizon", [5, 200])
+    def test_matches_run_single(self, inst, mode, horizon, monkeypatch):
+        # 300 seeds in blocks of 128: two full blocks and a partial one.
+        monkeypatch.setattr(engine, "LOCKSTEP_BLOCK", 128)
+        seeds = range(1000, 1300)
+        paths = ucb_queue_paths(inst, horizon, seeds, mode)
+        assert paths.shape == (300, horizon + 1) and paths.dtype == np.int64
+        for row, seed in zip(paths, seeds):
+            ref = run_single(inst, "ucb", horizon, seed, snapshot_stride=0, service_mode=mode)
+            assert np.array_equal(row, ref.q[:, 0]), seed
+
+    def test_default_block_partial(self):
+        inst = figure1_instance()
+        seeds = list(range(engine.LOCKSTEP_BLOCK + 7))
+        paths = ucb_queue_paths(inst, 5, seeds, "independent")
+        for seed in (0, engine.LOCKSTEP_BLOCK - 1, engine.LOCKSTEP_BLOCK, seeds[-1]):
+            ref = run_single(inst, "ucb", 5, seed, snapshot_stride=0, service_mode="independent")
+            assert np.array_equal(paths[seed], ref.q[:, 0])
+
+    def test_no_seeds(self):
+        assert ucb_queue_paths(figure1_instance(), 5, []).shape == (0, 6)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ucb_queue_paths(figure1_instance(), 0, [0])
+        with pytest.raises(ValueError):
+            ucb_queue_paths(figure1_instance(), 5, [0], "per-server")
+
+
 class TestTraceCsv:
     def test_round_trip_replay(self, tmp_path):
         inst = tandem_instance(2, (0.8, 0.6), 0.5)
@@ -257,3 +293,29 @@ class TestTraceCsv:
         path.write_text("\n".join(lines) + "\n")
         err = replay_csv_error(str(path), 1, 5, [0] * 5)
         assert err is not None and "replay" in err
+
+    def test_rejects_nonempty_start(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = ["t,q_0,schedule,arrivals,services,transitions"]
+        rows += [f"{t},5,0,0,0," for t in range(1, 11)]
+        path.write_text("\n".join(rows) + "\n")
+        err = replay_csv_error(str(path), 1, 5, [0] * 5)
+        assert err is not None and err.startswith("line 2:") and "empty start" in err
+
+    def test_rejects_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,q_0,schedule,arrivals,services,transitions\n")
+        assert replay_csv_error(str(path), 1, 5, [0] * 5) == "no data rows"
+
+    @pytest.mark.parametrize("cell", ["0>1>2", "0>", "0>-1", "0>3"])
+    def test_malformed_transition_cell(self, tmp_path, cell):
+        inst = tandem_instance(2, (0.8, 0.6), 0.5)
+        tr = run_network(inst, "bp-ucb", 200, 1)
+        path = tmp_path / "t.csv"
+        trace_to_csv(tr, str(path))
+        lines = path.read_text().splitlines()
+        parts = lines[40].split(",")
+        parts[-1] = cell
+        lines[40] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        assert replay_csv_error(str(path), 2, 2, [0, 1]) == "line 41: malformed row"
