@@ -31,12 +31,10 @@ from .instances import (
     tandem_instance,
 )
 from .metrics import (
-    MetricSeries,
-    _Welford,
     clq_details,
-    delta_series,
+    fold_series,
     lyapunov_report,
-    sar,
+    series_row,
     series_to_csv,
     theorem_bounds,
 )
@@ -176,10 +174,7 @@ def _simulate_job(args):
     trace = run(inst, policy, horizon, seed, stride)
     if trace_path:
         trace_to_csv(trace, trace_path)
-    l1 = trace.l1()
-    sar_vec = sar(trace, eps) if eps is not None else None
-    delta_vec = delta_series(trace) if include_delta else None
-    return policy, seed, l1, sar_vec, delta_vec
+    return (policy, seed) + series_row(trace, eps, include_delta)
 
 
 def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool):
@@ -221,36 +216,10 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_job, jobs, chunksize=1))
     results.sort(key=lambda r: (r[0], r[1]))
-
-    grid = np.arange(1, cfg.horizon + 1, dtype=np.float64)
-    series: dict[str, MetricSeries] = {}
-    for policy in policies:
-        avg_w, per_w, sar_w, delta_w = _Welford(), _Welford(), _Welford(), _Welford()
-        have_sar = have_delta = False
-        for p, seed, l1, sar_vec, delta_vec in results:
-            if p != policy:
-                continue
-            l1f = l1.astype(np.float64)
-            per_w.add(l1f)
-            avg_w.add(np.cumsum(l1f) / grid)
-            if sar_vec is not None:
-                sar_w.add(sar_vec)
-                have_sar = True
-            if delta_vec is not None:
-                delta_w.add(delta_vec)
-                have_delta = True
-        series[policy] = MetricSeries(
-            horizon=cfg.horizon,
-            n_traces=per_w.n,
-            avg_queue_mean=avg_w.mean,
-            avg_queue_se=avg_w.se(),
-            per_period_mean=per_w.mean,
-            per_period_se=per_w.se(),
-            sar_mean=sar_w.mean if have_sar else None,
-            sar_se=sar_w.se() if have_sar else None,
-            delta_mean=delta_w.mean if have_delta else None,
-        )
-    return series
+    return {
+        policy: fold_series(cfg.horizon, (r[2:] for r in results if r[0] == policy))
+        for policy in policies
+    }
 
 
 def _common_slackness(instances) -> float | None:

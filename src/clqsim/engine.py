@@ -25,7 +25,6 @@ from .model import (
 from .policies import PolicyError, PolicyHandle, PolicyState, Runner
 
 STREAM_IDS = {"arrival": 0, "service": 1, "transition": 2, "policy": 3}
-SNAPSHOT_EVERY_PERIOD_MAX = 100_000
 LOCKSTEP_BLOCK = 1024  # seeds per block of ucb_queue_paths
 
 
@@ -98,12 +97,6 @@ class CoupledPair:
     epsilon: float
 
 
-def _resolve_stride(snapshot_stride: int | None, horizon: int) -> int:
-    if snapshot_stride is None:
-        return 1 if horizon <= SNAPSHOT_EVERY_PERIOD_MAX else 100
-    return int(snapshot_stride)
-
-
 def _as_handle(policy: str | PolicyHandle) -> PolicyHandle:
     return policy if isinstance(policy, PolicyHandle) else PolicyHandle.parse(policy)
 
@@ -123,7 +116,7 @@ def run_single(
     policy: str | PolicyHandle,
     horizon: int,
     seed: int,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
     service_mode: str = "shared",
 ) -> Trace:
     """Simulate the scalar-queue dynamics Q(t+1) = Q(t) - S_J(t) + A(t).
@@ -141,7 +134,7 @@ def run_coupled_single(
     policy: str | PolicyHandle,
     horizon: int,
     seed: int,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
 ) -> CoupledPair:
     """Run the policy queue and the auxiliary queue on shared uniforms.
 
@@ -166,7 +159,6 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
     mu = list(instance.mu)
     runner = Runner(handle, instance)
     state = runner.state
-    stride = _resolve_stride(snapshot_stride, horizon)
 
     u_arr = RandomSource(seed, "arrival").uniforms(horizon).tolist()
     if service_mode == "shared":
@@ -196,7 +188,7 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
     q = 0
     for t in range(1, horizon + 1):
         q_hist[t - 1] = q
-        if state is not None and stride and (t - 1) % stride == 0:
+        if state is not None and snapshot_stride and (t - 1) % snapshot_stride == 0:
             snaps.append((t, state.mu_hat, list(state.counts)))
         s = 0
         if q > 0:
@@ -329,7 +321,7 @@ def run_network(
     policy: str | PolicyHandle,
     horizon: int,
     seed: int,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
 ) -> Trace:
     """Simulate the network dynamics with per-success transition draws.
 
@@ -343,20 +335,10 @@ def run_network(
     handle = _as_handle(policy)
     runner = Runner(handle, net)
     state = runner.state
-    stride = _resolve_stride(snapshot_stride, horizon)
     k, n = net.k, net.n
     mu = list(net.mu)
     owner = list(net.server_queue)
-    sched_rows = net.schedules.schedules
-    sel_map = {}
-    req_map = {}
-    for sigma in sched_rows:
-        sel = tuple(i for i, v in enumerate(sigma) if v)
-        load: dict[int, int] = {}
-        for srv in sel:
-            load[owner[srv]] = load.get(owner[srv], 0) + 1
-        sel_map[sigma] = sel
-        req_map[sigma] = tuple(load.items())
+    table = net.schedule_table
     m_sigma = structure_constants(net).m_sigma
     exit_only = net.exit_only
 
@@ -384,19 +366,19 @@ def run_network(
 
     for t in range(1, horizon + 1):
         q_hist[t - 1] = q
-        if state is not None and stride and (t - 1) % stride == 0:
+        if state is not None and snapshot_stride and (t - 1) % snapshot_stride == 0:
             snaps.append((t, state.mu_hat, list(state.counts), state.r_hat))
         sigma = select(q, t)
-        sel = sel_map.get(tuple(sigma))
-        if sel is None:
+        r = table.row.get(tuple(sigma))
+        if r is None:
             raise PolicyError(f"policy returned unknown schedule {sigma}")
-        for qi, need in req_map[tuple(sigma)]:
+        for qi, need in table.demand[r]:
             if q[qi] < need:
                 raise PolicyError(
                     f"schedule {sigma} infeasible at t={t}: queue {qi} holds {q[qi]}"
                 )
         row = t - 1
-        for srv in sel:
+        for srv in table.servers[r]:
             schedule[row, srv] = 1
             u = u_shared[row] if u_per_srv is None else u_per_srv[row][srv]
             s = 1 if u <= mu[srv] else 0
@@ -437,7 +419,7 @@ def run_network(
     )
 
 
-def run(instance, policy, horizon, seed, snapshot_stride=None) -> Trace:
+def run(instance, policy, horizon, seed, snapshot_stride=0) -> Trace:
     """Dispatch to run_single or run_network by instance type."""
     if isinstance(instance, SingleQueueInstance):
         return run_single(instance, policy, horizon, seed, snapshot_stride)

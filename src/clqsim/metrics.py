@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    NetworkInstance,
-    SingleQueueInstance,
-    as_network,
-    structure_constants,
-)
+from .model import SingleQueueInstance, as_network, structure_constants
 from .engine import Trace
 
 
@@ -63,6 +58,53 @@ class _Welford:
         return np.sqrt(self.m2 / (self.n - 1) / self.n)
 
 
+def series_row(
+    trace: Trace, epsilon: float | None = None, include_delta: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One trace's (l1, SaR, delta) vectors; SaR/delta are None unless asked for.
+
+    A network trace's SaR comes from the same delta pass as its delta column.
+    """
+    single = isinstance(trace.instance, SingleQueueInstance)
+    delta = None
+    if include_delta or (epsilon is not None and not single):
+        delta = delta_series(trace)
+    sar_vec = None
+    if epsilon is not None:
+        sar_vec = sar_single(trace, trace.instance, epsilon) if single else _sar_of(delta, epsilon)
+    return trace.l1(), sar_vec, delta if include_delta else None
+
+
+def fold_series(horizon: int, rows) -> MetricSeries:
+    """Fold per-seed (l1, SaR, delta) rows, in the given order, into a MetricSeries.
+
+    A SaR or delta column is present when the rows carry it.
+    """
+    avg_w, per_w, sar_w, delta_w = _Welford(), _Welford(), _Welford(), _Welford()
+    grid = np.arange(1, horizon + 1, dtype=np.float64)
+    for l1, sar_vec, delta_vec in rows:
+        if len(l1) != horizon:
+            raise GridMismatch(f"horizon {len(l1)} != {horizon}")
+        l1 = l1.astype(np.float64)
+        per_w.add(l1)
+        avg_w.add(np.cumsum(l1) / grid)
+        if sar_vec is not None:
+            sar_w.add(sar_vec)
+        if delta_vec is not None:
+            delta_w.add(delta_vec)
+    return MetricSeries(
+        horizon=horizon,
+        n_traces=per_w.n,
+        avg_queue_mean=avg_w.mean,
+        avg_queue_se=avg_w.se(),
+        per_period_mean=per_w.mean,
+        per_period_se=per_w.se(),
+        sar_mean=sar_w.mean,
+        sar_se=sar_w.se() if sar_w.n else None,
+        delta_mean=delta_w.mean,
+    )
+
+
 def time_averaged_series(
     traces: list[Trace],
     epsilon: float | None = None,
@@ -72,30 +114,8 @@ def time_averaged_series(
     columns when requested."""
     if not traces:
         raise EmptyInput("no traces to aggregate")
-    horizon = traces[0].horizon
-    avg_w, per_w, sar_w, delta_w = _Welford(), _Welford(), _Welford(), _Welford()
-    grid = np.arange(1, horizon + 1, dtype=np.float64)
-    for tr in traces:
-        if tr.horizon != horizon:
-            raise GridMismatch(f"horizon {tr.horizon} != {horizon}")
-        l1 = tr.l1().astype(np.float64)
-        per_w.add(l1)
-        avg_w.add(np.cumsum(l1) / grid)
-        if epsilon is not None:
-            sar_w.add(sar(tr, epsilon=epsilon))
-        if include_delta:
-            delta_w.add(delta_series(tr))
-    return MetricSeries(
-        horizon=horizon,
-        n_traces=len(traces),
-        avg_queue_mean=avg_w.mean,
-        avg_queue_se=avg_w.se(),
-        per_period_mean=per_w.mean,
-        per_period_se=per_w.se(),
-        sar_mean=sar_w.mean if epsilon is not None else None,
-        sar_se=sar_w.se() if epsilon is not None else None,
-        delta_mean=delta_w.mean if include_delta else None,
-    )
+    rows = (series_row(tr, epsilon, include_delta) for tr in traces)
+    return fold_series(traces[0].horizon, rows)
 
 
 def clq_estimate(policy_series: MetricSeries, benchmark: MetricSeries | None = None) -> float:
@@ -145,11 +165,13 @@ def schedule_weight(q, schedule, instance, networked: bool) -> float:
     The networked variant charges each selected server for the load its
     transitions push back into the queues.
     """
-    net = as_network(instance)
+    servers = [srv for srv, on in enumerate(schedule) if on]
+    return _weight(as_network(instance), servers, q, networked)
+
+
+def _weight(net, servers, q, networked: bool) -> float:
     w = 0.0
-    for srv, on in enumerate(schedule):
-        if not on:
-            continue
+    for srv in servers:
         w += net.mu[srv] * q[net.server_queue[srv]]
         if networked:
             row = net.transitions[srv]
@@ -158,48 +180,29 @@ def schedule_weight(q, schedule, instance, networked: bool) -> float:
     return w
 
 
-def _schedule_tables(net: NetworkInstance, networked: bool):
-    """Per-schedule selected servers and per-queue demands, stored order."""
-    sel, req = [], []
-    for sigma in net.schedules.schedules:
-        servers = tuple(i for i, v in enumerate(sigma) if v)
-        load: dict[int, int] = {}
-        for srv in servers:
-            load[net.server_queue[srv]] = load.get(net.server_queue[srv], 0) + 1
-        sel.append(servers)
-        req.append(tuple(load.items()))
-    return sel, req
-
-
-def _weight_scaled(net, servers, q_scaled, networked) -> float:
-    # Queue lengths arrive pre-divided by ||q||_inf, which keeps the
-    # single-queue case exact: q/q is exactly 1.0.
-    w = 0.0
-    for srv in servers:
-        w += net.mu[srv] * q_scaled[net.server_queue[srv]]
-        if networked:
-            row = net.transitions[srv]
-            for dest in net.destinations[srv]:
-                w -= net.mu[srv] * row[dest] * q_scaled[dest]
-    return w
+def _best_weight(net, q, q_scaled, networked: bool) -> float:
+    """Largest weight at q_scaled over the schedules that fit queue vector q."""
+    table = net.schedule_table
+    best = -math.inf
+    for servers, need in zip(table.servers, table.demand):
+        if all(q[i] >= c for i, c in need):
+            best = max(best, _weight(net, servers, q_scaled, networked))
+    return best
 
 
 def delta_loss(q, chosen, instance, networked: bool) -> float:
     """Weight loss of the chosen schedule against the true-rate argmax,
     normalized by the longest queue; 0 on an empty system."""
-    net = as_network(instance)
     qmax = max(q)
     if qmax == 0:
         return 0.0
+    # Queue lengths are divided by ||q||_inf before weighing, which keeps
+    # the single-queue case exact: q/q is exactly 1.0.
     q_scaled = [qi / qmax for qi in q]
-    sel, req = _schedule_tables(net, networked)
-    best = -math.inf
-    chosen_servers = tuple(i for i, v in enumerate(chosen) if v)
-    for servers, load in zip(sel, req):
-        if any(q[qi] < need for qi, need in load):
-            continue
-        best = max(best, _weight_scaled(net, servers, q_scaled, networked))
-    return best - _weight_scaled(net, chosen_servers, q_scaled, networked)
+    net = as_network(instance)
+    return _best_weight(net, q, q_scaled, networked) - schedule_weight(
+        q_scaled, chosen, net, networked
+    )
 
 
 def delta_series(trace: Trace, instance=None, networked: bool | None = None) -> np.ndarray:
@@ -210,36 +213,24 @@ def delta_series(trace: Trace, instance=None, networked: bool | None = None) -> 
         networked = not net.exit_only
     h = trace.horizon
     mu = np.asarray(net.mu, dtype=np.float64)
-    singletons_only = max(sum(s) for s in net.schedules.schedules) <= 1
+    singletons_only = max(len(s) for s in net.schedule_table.servers) <= 1
     if net.n == 1 and not networked and singletons_only:
         # One queue, one server at a time: every singleton is feasible
         # once q >= 1, so the comparator weight is the best service rate.
         rate = trace.schedule[:h].astype(np.float64) @ mu
         busy = trace.q[:h, 0] >= 1
         return (mu.max() - rate) * busy
-    sel, req = _schedule_tables(net, networked)
     out = np.zeros(h)
-    prev_q: tuple | None = None
-    best = 0.0
-    for t in range(h):
-        qv = trace.q[t]
-        qmax = int(qv.max())
+    best: dict[tuple[int, ...], float] = {}
+    for t, (qv, chosen) in enumerate(zip(trace.q[:h].tolist(), trace.schedule[:h].tolist())):
+        qmax = max(qv)
         if qmax == 0:
-            prev_q = None
             continue
-        key = tuple(int(v) for v in qv)
-        q_scaled = [v / qmax for v in key]
-        if key != prev_q:
-            best = -math.inf
-            for servers, load in zip(sel, req):
-                if any(key[qi] < need for qi, need in load):
-                    continue
-                w = _weight_scaled(net, servers, q_scaled, networked)
-                if w > best:
-                    best = w
-            prev_q = key
-        chosen = tuple(i for i, v in enumerate(trace.schedule[t]) if v)
-        out[t] = best - _weight_scaled(net, chosen, q_scaled, networked)
+        q_scaled = [v / qmax for v in qv]
+        key = tuple(qv)
+        if key not in best:
+            best[key] = _best_weight(net, qv, q_scaled, networked)
+        out[t] = best[key] - schedule_weight(q_scaled, chosen, net, networked)
     return out
 
 
@@ -250,10 +241,13 @@ def sar_multi(
     networked: bool | None = None,
 ) -> np.ndarray:
     """Cumulative (delta(t) - eps/2)^+ along a trace."""
+    return _sar_of(delta_series(trace, instance, networked), epsilon)
+
+
+def _sar_of(delta: np.ndarray, epsilon: float | None) -> np.ndarray:
     if epsilon is None or epsilon <= 0:
         raise ValueError("satisficing regret needs positive slackness")
-    d = delta_series(trace, instance, networked)
-    return np.cumsum(np.maximum(d - epsilon / 2.0, 0.0))
+    return np.cumsum(np.maximum(delta - epsilon / 2.0, 0.0))
 
 
 def sar(trace: Trace, epsilon: float) -> np.ndarray:

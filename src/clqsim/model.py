@@ -134,6 +134,35 @@ class ScheduleSet:
         return cls(schedules=tuple(rows))
 
 
+@dataclass(frozen=True, eq=False)
+class ScheduleTable:
+    """What each schedule asks of the system, one row per schedule in stored order.
+
+    servers[r] lists the servers schedule r selects, ascending; demand[r]
+    holds (queue, jobs needed) pairs; row maps a schedule tuple to r.
+    """
+
+    schedules: tuple[tuple[int, ...], ...]
+    server_queue: tuple[int, ...]
+    servers: tuple[tuple[int, ...], ...]
+    demand: tuple[tuple[tuple[int, int], ...], ...]
+    row: dict[tuple[int, ...], int]
+
+    @classmethod
+    def build(cls, schedules: ScheduleSet, server_queue: Sequence[int]) -> "ScheduleTable":
+        owner = tuple(server_queue)
+        servers, demand, row = [], [], {}
+        for r, sigma in enumerate(schedules.schedules):
+            sel = tuple(i for i, v in enumerate(sigma) if v)
+            load: dict[int, int] = {}
+            for srv in sel:
+                load[owner[srv]] = load.get(owner[srv], 0) + 1
+            servers.append(sel)
+            demand.append(tuple(load.items()))
+            row.setdefault(sigma, r)
+        return cls(schedules.schedules, owner, tuple(servers), tuple(demand), row)
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
     """Queueing network: queues, servers, schedules, job transitions.
@@ -165,6 +194,10 @@ class NetworkInstance:
     @cached_property
     def exit_only(self) -> bool:
         return all(not d for d in self.destinations)
+
+    @cached_property
+    def schedule_table(self) -> ScheduleTable:
+        return ScheduleTable.build(self.schedules, self.server_queue)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .model import NetworkInstance, ScheduleSet, SingleQueueInstance, as_network
+from .model import NetworkInstance, ScheduleTable, SingleQueueInstance, as_network
 
 VARIANTS = (
     "ucb",
@@ -73,6 +73,14 @@ class PolicyState:
             for row, c in zip(self.trans, self.counts)
         ]
 
+    def ucb_indices(self, t: int) -> list[float]:
+        """ucb_index of every server at period t, with 2 log t taken once."""
+        two_log = 2.0 * math.log(t)
+        return [
+            min(1.0, s / c + math.sqrt(two_log / c)) if c else 1.0
+            for s, c in zip(self.succ, self.counts)
+        ]
+
     def record(self, server: int, success: int, target: int | None) -> None:
         """Fold one selected server's outcome into the running tallies."""
         self.counts[server] += 1
@@ -100,76 +108,56 @@ def ucb_select(state: PolicyState, q: int) -> int | None:
     """Server with the highest optimistic index; None when the queue is empty."""
     if q == 0:
         return None
-    best, best_idx = -1.0, 0
-    for srv in range(state.k):
-        c = state.counts[srv]
-        mh = state.succ[srv] / c if c else 0.0
-        idx = ucb_index(mh, c, state.t)
-        if idx > best:
-            best, best_idx = idx, srv
-    return best_idx
+    idx = state.ucb_indices(state.t)
+    return idx.index(max(idx))
 
 
-def feasible_schedules(
-    schedules: ScheduleSet,
-    server_queue: Sequence[int],
-    q: Sequence[int],
-) -> list[tuple[int, ...]]:
-    """Schedules whose per-queue server demand fits the current queue."""
-    out = []
-    for sigma in schedules.schedules:
-        load = [0] * len(q)
-        for srv, on in enumerate(sigma):
-            if on:
-                load[server_queue[srv]] += 1
-        if all(load[i] <= q[i] for i in range(len(q))):
-            out.append(sigma)
-    return out
+def feasible_schedules(table: ScheduleTable, q: Sequence[int]) -> list[tuple[int, ...]]:
+    """Schedules whose per-queue demand fits the current queue, in stored order."""
+    return [
+        sigma
+        for sigma, need in zip(table.schedules, table.demand)
+        if all(q[i] >= c for i, c in need)
+    ]
 
 
-def maxweight_select(
-    q: Sequence[int],
-    rates: Sequence[float],
-    schedules: ScheduleSet,
-    server_queue: Sequence[int],
-) -> tuple[int, ...]:
-    """Feasible schedule maximizing sum_n Q_n * (selected rate mass at n).
+def _heaviest(table: ScheduleTable, q: Sequence[int], gain: Sequence[float]) -> tuple[int, ...]:
+    """Feasible schedule with the largest summed per-server gain.
 
     Ties go to the first-encountered schedule in stored order.
     """
     best_w, best = -math.inf, None
-    for sigma in feasible_schedules(schedules, server_queue, q):
+    for sigma in feasible_schedules(table, q):
         w = 0.0
-        for srv, on in enumerate(sigma):
-            if on:
-                w += rates[srv] * q[server_queue[srv]]
+        for srv in table.servers[table.row[sigma]]:
+            w += gain[srv]
         if w > best_w:
             best_w, best = w, sigma
     return best
+
+
+def maxweight_select(
+    q: Sequence[int], rates: Sequence[float], table: ScheduleTable
+) -> tuple[int, ...]:
+    """Feasible schedule maximizing sum_n Q_n * (selected rate mass at n)."""
+    owner = table.server_queue
+    return _heaviest(table, q, [rates[srv] * q[owner[srv]] for srv in range(len(owner))])
 
 
 def backpressure_select(
     q: Sequence[int],
     mu_bar: Sequence[float],
     r_lower: Sequence[Sequence[float]],
-    schedules: ScheduleSet,
-    server_queue: Sequence[int],
+    table: ScheduleTable,
 ) -> tuple[int, ...]:
     """MaxWeight with per-server penalties for feeding long queues."""
     n = len(q)
-    gain = []
-    for srv in range(len(mu_bar)):
-        pen = sum(r_lower[srv][i] * q[i] for i in range(n))
-        gain.append(mu_bar[srv] * q[server_queue[srv]] - pen)
-    best_w, best = -math.inf, None
-    for sigma in feasible_schedules(schedules, server_queue, q):
-        w = 0.0
-        for srv, on in enumerate(sigma):
-            if on:
-                w += gain[srv]
-        if w > best_w:
-            best_w, best = w, sigma
-    return best
+    owner = table.server_queue
+    gain = [
+        mu_bar[srv] * q[owner[srv]] - sum(r_lower[srv][i] * q[i] for i in range(n))
+        for srv in range(len(mu_bar))
+    ]
+    return _heaviest(table, q, gain)
 
 
 def observe(
@@ -243,8 +231,7 @@ class Runner:
         self.handle = handle
         self.k = net.k
         self.n = net.n
-        self.schedules = net.schedules
-        self.server_queue = net.server_queue
+        self.table = net.schedule_table
         self.state = PolicyState(k=net.k, n=net.n) if handle.learning else None
         self._rr = 0
         v = handle.variant
@@ -284,36 +271,19 @@ class Runner:
         v = self.handle.variant
         if v in ("ucb", "mw_ucb"):
             self.state.t = t
-            mu_bar = [
-                ucb_index(
-                    self.state.succ[i] / self.state.counts[i] if self.state.counts[i] else 0.0,
-                    self.state.counts[i],
-                    t,
-                )
-                for i in range(self.k)
-            ]
-            return maxweight_select(q, mu_bar, self.schedules, self.server_queue)
+            return maxweight_select(q, self.state.ucb_indices(t), self.table)
         if v == "bp_ucb":
-            self.state.t = t
-            mu_bar, r_low = [], []
-            for i in range(self.k):
-                c = self.state.counts[i]
-                mu_bar.append(
-                    ucb_index(self.state.succ[i] / c if c else 0.0, c, t)
-                )
-                r_low.append(
-                    [
-                        lcb_transition(self.state.trans[i][j] / c if c else 0.0, c, t)
-                        for j in range(self.n)
-                    ]
-                )
-            return backpressure_select(q, mu_bar, r_low, self.schedules, self.server_queue)
+            state = self.state
+            state.t = t
+            r_low = [
+                [lcb_transition(row[j] / c if c else 0.0, c, t) for j in range(self.n)]
+                for row, c in zip(state.trans, state.counts)
+            ]
+            return backpressure_select(q, state.ucb_indices(t), r_low, self.table)
         if v == "oracle_mw":
-            return maxweight_select(q, self._mu, self.schedules, self.server_queue)
+            return maxweight_select(q, self._mu, self.table)
         if v == "oracle_bp":
-            return backpressure_select(
-                q, self._mu, self._r_true, self.schedules, self.server_queue
-            )
+            return backpressure_select(q, self._mu, self._r_true, self.table)
         if v in ("oracle_best", "fixed"):
             srv = self._best if v == "oracle_best" else self.handle.fixed_server
             return self._singleton_if_feasible(q, srv)
@@ -327,6 +297,6 @@ class Runner:
 
     def _singleton_if_feasible(self, q: Sequence[int], srv: int) -> tuple[int, ...]:
         sigma = tuple(1 if i == srv else 0 for i in range(self.k))
-        if sigma in self.schedules.schedules and q[self.server_queue[srv]] >= 1:
+        if sigma in self.table.row and q[self.table.server_queue[srv]] >= 1:
             return sigma
         return (0,) * self.k

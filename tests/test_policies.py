@@ -7,6 +7,7 @@ from clqsim.model import (
     ArrivalModel,
     NetworkInstance,
     ScheduleSet,
+    ScheduleTable,
     SingleQueueInstance,
     single_to_network,
 )
@@ -86,31 +87,31 @@ class TestUcbSelect:
 class TestFeasibleSchedules:
     def test_empty_system(self):
         s = ScheduleSet.closure([(1, 1)], 2)
-        assert feasible_schedules(s, (0, 0), [0, 0]) == [(0, 0)]
+        assert feasible_schedules(ScheduleTable.build(s, (0, 0)), [0, 0]) == [(0, 0)]
 
     def test_long_queues_allow_everything(self):
         s = ScheduleSet.closure([(1, 1)], 2)
-        assert set(feasible_schedules(s, (0, 1), [3, 3])) == set(s.schedules)
+        assert set(feasible_schedules(ScheduleTable.build(s, (0, 1)), [3, 3])) == set(s.schedules)
 
     def test_two_servers_one_job(self):
         s = ScheduleSet.closure([(1, 1)], 2)
-        got = set(feasible_schedules(s, (0, 0), [1]))
+        got = set(feasible_schedules(ScheduleTable.build(s, (0, 0)), [1]))
         assert got == {(0, 0), (1, 0), (0, 1)}
 
 
 class TestMaxWeight:
     def test_empty_queue_zero_schedule(self):
         s = ScheduleSet.singletons(2)
-        assert maxweight_select([0], (0.5, 0.9), s, (0, 0)) == (0, 0)
+        assert maxweight_select([0], (0.5, 0.9), ScheduleTable.build(s, (0, 0))) == (0, 0)
 
     def test_long_queue_beats_fast_server(self):
         s = ScheduleSet(schedules=((1, 0), (0, 1), (0, 0)))
-        got = maxweight_select([3, 1], (0.5, 0.9), s, (0, 1))
+        got = maxweight_select([3, 1], (0.5, 0.9), ScheduleTable.build(s, (0, 1)))
         assert got == (1, 0)  # weight 1.5 > 0.9
 
     def test_stored_order_tie_break(self):
         s = ScheduleSet(schedules=((0, 1), (1, 0), (0, 0)))
-        got = maxweight_select([1, 1], (0.5, 0.5), s, (0, 1))
+        got = maxweight_select([1, 1], (0.5, 0.5), ScheduleTable.build(s, (0, 1)))
         assert got == (0, 1)
 
 
@@ -118,21 +119,21 @@ class TestBackPressure:
     def test_penalty_excludes_feeding_server(self):
         s = ScheduleSet.closure([(1, 1)], 2)
         r_lower = ((0.0, 0.8), (0.0, 0.0))
-        got = backpressure_select([1, 5], (0.9, 0.2), r_lower, s, (0, 1))
+        got = backpressure_select([1, 5], (0.9, 0.2), r_lower, ScheduleTable.build(s, (0, 1)))
         assert got == (0, 1)
 
     def test_zero_penalty_matches_maxweight(self):
         s = ScheduleSet.closure([(1, 1)], 2)
         zeros = ((0.0, 0.0), (0.0, 0.0))
         for q in ([1, 5], [4, 2], [0, 3]):
-            bp = backpressure_select(q, (0.9, 0.2), zeros, s, (0, 1))
-            mw = maxweight_select(q, (0.9, 0.2), s, (0, 1))
+            bp = backpressure_select(q, (0.9, 0.2), zeros, ScheduleTable.build(s, (0, 1)))
+            mw = maxweight_select(q, (0.9, 0.2), ScheduleTable.build(s, (0, 1)))
             assert bp == mw
 
     def test_empty_queue_zero_schedule(self):
         s = ScheduleSet.closure([(1, 1)], 2)
         zeros = ((0.0, 0.0), (0.0, 0.0))
-        assert backpressure_select([0, 0], (0.9, 0.2), zeros, s, (0, 1)) == (0, 0)
+        assert backpressure_select([0, 0], (0.9, 0.2), zeros, ScheduleTable.build(s, (0, 1))) == (0, 0)
 
 
 class TestObserve:

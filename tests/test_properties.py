@@ -11,6 +11,7 @@ from clqsim.instances import random_with_slackness, tandem_instance
 from clqsim.metrics import delta_loss, delta_series, sar, sar_multi, sar_single
 from clqsim.model import (
     ScheduleSet,
+    ScheduleTable,
     SingleQueueInstance,
     effective_service_rate,
     single_to_network,
@@ -168,10 +169,9 @@ class TestPolicyInvariants:
     def test_maxweight_scale_covariance(self, mu, q, c):
         k = min(len(mu), len(q))
         mu, q = mu[:k], tuple(q[:k])
-        schedules = ScheduleSet.singletons(k)
-        server_queue = list(range(k))
-        base = maxweight_select(q, mu, schedules, server_queue)
-        scaled = maxweight_select(q, [c * m for m in mu], schedules, server_queue)
+        table = ScheduleTable.build(ScheduleSet.singletons(k), list(range(k)))
+        base = maxweight_select(q, mu, table)
+        scaled = maxweight_select(q, [c * m for m in mu], table)
         assert base == scaled
 
     @settings(max_examples=25, deadline=None)
@@ -180,7 +180,7 @@ class TestPolicyInvariants:
         n = len(q)
         schedules = ScheduleSet.closure([tuple([1] * n)], n)
         server_queue = list(range(n))
-        for sigma in feasible_schedules(schedules, server_queue, tuple(q)):
+        for sigma in feasible_schedules(ScheduleTable.build(schedules, server_queue), tuple(q)):
             demand = [0] * n
             for srv, on in enumerate(sigma):
                 demand[server_queue[srv]] += on
@@ -290,7 +290,6 @@ class TestOraclePurity:
             want = maxweight_select(
                 tuple(int(v) for v in tr.q[t]),
                 inst.mu,
-                inst.schedules,
-                inst.server_queue,
+                inst.schedule_table,
             )
             assert tuple(tr.schedule[t]) == want
