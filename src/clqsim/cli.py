@@ -41,7 +41,6 @@ from .metrics import (
 from .model import (
     DistributionError,
     SingleQueueInstance,
-    as_network,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -418,8 +417,6 @@ def cmd_verify(args) -> int:
     failures = []
     checked = 0
     for m, inst in enumerate(instances):
-        net = as_network(inst)
-        owner = list(net.server_queue)
         for policy in cfg.policies:
             for seed in cfg.seeds:
                 trace = run(inst, policy, cfg.horizon, seed, snapshot_stride=0)
@@ -435,7 +432,7 @@ def cmd_verify(args) -> int:
                         )
                 path = _trace_path(cfg.out_dir, policy, seed, m, len(instances))
                 if os.path.exists(path):
-                    err = replay_csv_error(path, net.n, net.k, owner)
+                    err = replay_csv_error(path, trace)
                     if err:
                         failures.append(("trace-file-replay", policy, seed, err))
                 checked += 1

@@ -460,12 +460,13 @@ def replay_error(trace: Trace) -> str | None:
 # --- CSV trace interchange ---------------------------------------------------
 
 
-def _bitmask(row: np.ndarray) -> int:
-    m = 0
-    for i, v in enumerate(row):
-        if v:
-            m |= 1 << i
-    return m
+def _masks(events: np.ndarray) -> list[int]:
+    """Per-row bitmask of a 0/1 event array: bit i is column i."""
+    masks = [0] * events.shape[0]
+    rows, cols = np.nonzero(events)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        masks[r] |= 1 << c
+    return masks
 
 
 def trace_to_csv(trace: Trace, path: str) -> None:
@@ -478,6 +479,8 @@ def trace_to_csv(trace: Trace, path: str) -> None:
         "services",
         "transitions",
     ]
+    q_rows = trace.q[: trace.horizon].tolist()
+    sched, arr, svc = (_masks(e) for e in (trace.schedule, trace.arrivals, trace.services))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -490,29 +493,32 @@ def trace_to_csv(trace: Trace, path: str) -> None:
                     for srv in np.nonzero(trace.services[t])[0]
                 ]
                 trans = ";".join(pairs)
-            w.writerow(
-                [t + 1]
-                + [int(v) for v in trace.q[t]]
-                + [
-                    _bitmask(trace.schedule[t]),
-                    _bitmask(trace.arrivals[t]),
-                    _bitmask(trace.services[t]),
-                    trans,
-                ]
-            )
+            w.writerow([t + 1] + q_rows[t] + [sched[t], arr[t], svc[t], trans])
 
 
-def replay_csv_error(path: str, n: int, k: int, owner) -> str | None:
-    """Replay a trace CSV row by row; None if every transition checks out.
+_CSV_FIELDS = ("queue vector", "schedule mask", "arrival mask", "service mask", "transitions")
 
-    The first row must hold the empty start that every engine trace has.
+
+def replay_csv_error(path: str, trace: Trace) -> str | None:
+    """Replay a trace CSV row by row and compare it with trace; None if all agree.
+
+    The file must hold exactly trace.horizon rows, start from the empty
+    queue, replay on its own events, and match the trace's queue vector,
+    schedule/arrival/service bitmasks and transitions on every row.
     """
+    net = as_network(trace.instance)
+    n, k, owner = net.n, net.k, net.server_queue
     with open(path) as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:1] != ["t"]:
         return "missing header"
     if len(rows) < 2:
         return "no data rows"
+    if len(rows) - 1 != trace.horizon:
+        return f"{len(rows) - 1} data rows for horizon {trace.horizon}"
+    want_q = trace.q[: trace.horizon].tolist()
+    masks = [_masks(e) for e in (trace.schedule, trace.arrivals, trace.services)]
+    want_targets = None if trace.targets is None else trace.targets.tolist()
     prev_q = None
     prev_delta = None
     for line, row in enumerate(rows[1:], start=2):
@@ -552,5 +558,15 @@ def replay_csv_error(path: str, n: int, k: int, owner) -> str | None:
                 dest = moved.get(srv)
                 if dest is not None and dest < n:
                     delta[dest] += 1
+        t = line - 2
+        want_moved = {}
+        if want_targets is not None:
+            want_moved = {srv: want_targets[t][srv] for srv in range(k) if svc >> srv & 1}
+        got = (qv, sched, arr, svc, moved)
+        want = (want_q[t], masks[0][t], masks[1][t], masks[2][t], want_moved)
+        if got != want:
+            for name, a, b in zip(_CSV_FIELDS, got, want):
+                if a != b:
+                    return f"line {line}: {name} {a} differs from the re-run ({b})"
         prev_q, prev_delta = qv, delta
     return None

@@ -156,6 +156,19 @@ class TestVerify:
         assert "FAIL check=trace-file-replay policy=ucb seed=0: line 2:" in out
         assert "all checks passed" not in out
 
+    def test_trace_file_of_another_run_fails(self, tmp_path, fig1_file, capsys):
+        # All-zero rows replay on their own; they are not this seed's run.
+        cfg = _config(tmp_path)
+        assert main(["simulate", "-c", cfg]) == 0
+        trace = tmp_path / "out" / "trace_ucb_0.csv"
+        rows = ["t,q_0,schedule,arrivals,services,transitions"]
+        rows += [f"{t},0,0,0,0," for t in range(1, 201)]
+        trace.write_text("\n".join(rows) + "\n")
+        assert main(["verify", "-c", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL check=trace-file-replay policy=ucb seed=0:" in out
+        assert "differs from the re-run" in out
+
     def test_malformed_transitions_cell_fails(self, tmp_path, capsys):
         save_instance(tandem_instance(2, (0.8, 0.6), 0.5), str(tmp_path / "tandem.json"))
         cfg = _config(tmp_path, instance="tandem.json", policies=["bp-ucb"])

@@ -280,7 +280,7 @@ class TestTraceCsv:
         tr = run_network(inst, "bp-ucb", 200, 1)
         path = tmp_path / "t.csv"
         trace_to_csv(tr, str(path))
-        assert replay_csv_error(str(path), 2, 2, [0, 1]) is None
+        assert replay_csv_error(str(path), tr) is None
 
     def test_detects_corruption(self, tmp_path):
         tr = run_single(figure1_instance(), "ucb", 100, 0)
@@ -291,7 +291,7 @@ class TestTraceCsv:
         parts[1] = str(int(parts[1]) + 1)
         lines[50] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        err = replay_csv_error(str(path), 1, 5, [0] * 5)
+        err = replay_csv_error(str(path), tr)
         assert err is not None and "replay" in err
 
     def test_rejects_nonempty_start(self, tmp_path):
@@ -299,13 +299,48 @@ class TestTraceCsv:
         rows = ["t,q_0,schedule,arrivals,services,transitions"]
         rows += [f"{t},5,0,0,0," for t in range(1, 11)]
         path.write_text("\n".join(rows) + "\n")
-        err = replay_csv_error(str(path), 1, 5, [0] * 5)
+        err = replay_csv_error(str(path), run_single(figure1_instance(), "ucb", 10, 0))
         assert err is not None and err.startswith("line 2:") and "empty start" in err
 
     def test_rejects_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("t,q_0,schedule,arrivals,services,transitions\n")
-        assert replay_csv_error(str(path), 1, 5, [0] * 5) == "no data rows"
+        tr = run_single(figure1_instance(), "ucb", 10, 0)
+        assert replay_csv_error(str(path), tr) == "no data rows"
+
+    def test_rejects_self_consistent_file_of_another_run(self, tmp_path):
+        tr = run_single(figure1_instance(), "ucb", 200, 0)
+        path = tmp_path / "t.csv"
+        rows = ["t,q_0,schedule,arrivals,services,transitions"]
+        rows += [f"{t},0,0,0,0," for t in range(1, 201)]
+        path.write_text("\n".join(rows) + "\n")
+        err = replay_csv_error(str(path), tr)
+        assert err is not None and "differs from the re-run" in err
+
+    def test_rejects_wrong_row_count(self, tmp_path):
+        tr = run_single(figure1_instance(), "ucb", 100, 0)
+        path = tmp_path / "t.csv"
+        trace_to_csv(tr, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        assert replay_csv_error(str(path), tr) == "99 data rows for horizon 100"
+
+    def test_final_period_transition_compared(self, tmp_path):
+        # The last row's events change no later queue vector, so only the
+        # comparison with the trace can see a rewritten destination.
+        inst = tandem_instance(2, (0.8, 0.6), 0.5)
+        tr = next(
+            t for t in (run_network(inst, "bp-ucb", 200, s) for s in range(50))
+            if t.services[-1, 0]
+        )
+        path = tmp_path / "t.csv"
+        trace_to_csv(tr, str(path))
+        lines = path.read_text().splitlines()
+        assert "0>1" in lines[-1]
+        lines[-1] = lines[-1].replace("0>1", "0>2")
+        path.write_text("\n".join(lines) + "\n")
+        err = replay_csv_error(str(path), tr)
+        assert err is not None and err.startswith("line 201: transitions")
 
     @pytest.mark.parametrize("cell", ["0>1>2", "0>", "0>-1", "0>3"])
     def test_malformed_transition_cell(self, tmp_path, cell):
@@ -318,4 +353,4 @@ class TestTraceCsv:
         parts[-1] = cell
         lines[40] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        assert replay_csv_error(str(path), 2, 2, [0, 1]) == "line 41: malformed row"
+        assert replay_csv_error(str(path), tr) == "line 41: malformed row"
