@@ -57,6 +57,11 @@ class ConfigError(ValueError):
     """Bad experiment configuration."""
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """One batch run: an instance source fanned over policies and seeds."""
@@ -74,16 +79,18 @@ class ExperimentConfig:
     coupling_seeds: int = 10_000
 
     def __post_init__(self) -> None:
-        for name in ("horizon", "coupling_seeds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("horizon", "coupling_seeds", "snapshot_stride"):
+            _require_int(name, getattr(self, name))
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.coupling_seeds < 0:
             raise ConfigError("coupling_seeds must be non-negative (0 disables the check)")
+        if self.snapshot_stride < 0:
+            raise ConfigError("snapshot_stride must be non-negative (0 disables snapshots)")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        for seed in self.seeds:
+            _require_int("seeds entries", seed)
         for name in self.policies + ([self.benchmark] if self.benchmark else []):
             try:
                 PolicyHandle.parse(name)
@@ -103,11 +110,12 @@ class ExperimentConfig:
         doc = dict(doc)
         seeds = doc.get("seeds", {"base": 0, "count": 1})
         if isinstance(seeds, dict):
-            base = int(seeds.get("base", 0))
-            count = int(seeds.get("count", 1))
+            base, count = seeds.get("base", 0), seeds.get("count", 1)
+            _require_int("seeds base", base)
+            _require_int("seeds count", count)
             doc["seeds"] = list(range(base, base + count))
-        else:
-            doc["seeds"] = [int(s) for s in seeds]
+        elif not isinstance(seeds, list):
+            raise ConfigError(f"seeds must be a list or {{base, count}}, got {seeds!r}")
         inst = doc.get("instance")
         if isinstance(inst, str) and not os.path.isabs(inst):
             doc["instance"] = os.path.join(base_dir, inst)
@@ -149,11 +157,18 @@ def build_family(spec: dict):
 
 
 def resolve_instances(source: str | dict):
+    """The configured instances, each checked by validate_instance."""
     if isinstance(source, str):
-        return [load_instance(source)]
-    if "family" in source:
-        return build_family(source)
-    return [instance_from_dict(source)]
+        instances = [load_instance(source)]
+    elif "family" in source:
+        instances = build_family(source)
+    else:
+        instances = [instance_from_dict(source)]
+    for inst in instances:
+        problems = validate_instance(inst)
+        if problems:
+            raise ConfigError("invalid instance: " + "; ".join(problems))
+    return instances
 
 
 def _workers(n_jobs: int) -> int:

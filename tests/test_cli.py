@@ -6,7 +6,7 @@ import pytest
 
 from clqsim.cli import ConfigError, ExperimentConfig, _coupling_pvalue, main
 from clqsim.instances import figure1_instance, lower_bound_family, tandem_instance
-from clqsim.model import SingleQueueInstance, save_instance
+from clqsim.model import SingleQueueInstance, instance_to_dict, save_instance
 
 
 @pytest.fixture()
@@ -280,6 +280,14 @@ class TestConfigParsing:
             ("coupling_seeds", 1.5),
             ("coupling_seeds", False),
             ("coupling_seeds", -5),
+            ("snapshot_stride", "5"),
+            ("snapshot_stride", 1.0),
+            ("snapshot_stride", -1),
+            ("seeds", [0.7, 1.9]),
+            ("seeds", [0, True]),
+            ("seeds", {"base": 0.5, "count": 2}),
+            ("seeds", {"base": 0, "count": "3"}),
+            ("seeds", 3),
         ],
     )
     def test_rejects_bad_integer_fields(self, key, value):
@@ -295,10 +303,47 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
     @pytest.mark.parametrize(
-        "overrides", [{"horizon": "50"}, {"coupling_seeds": "200"}, {"coupling_seeds": -5}]
+        "overrides",
+        [
+            {"horizon": "50"},
+            {"coupling_seeds": "200"},
+            {"coupling_seeds": -5},
+            {"seeds": [0.7, 1.9]},
+            {"snapshot_stride": "5"},
+        ],
     )
     def test_bad_integer_field_exit_one(self, tmp_path, fig1_file, capsys, command, overrides):
         cfg = _config(tmp_path, **overrides)
         assert main([command, "-c", cfg]) == 1
         out = capsys.readouterr().out
         assert out.startswith("error: ") and out.count("\n") == 1
+
+
+class TestInstanceValidation:
+    @staticmethod
+    def _tandem_doc():
+        return instance_to_dict(tandem_instance(3, (0.8, 0.7, 0.6), 0.4))
+
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    def test_arrival_mass_short_of_one(self, tmp_path, capsys, command):
+        doc = self._tandem_doc()
+        total = sum(doc["lambda"]["probs"])
+        doc["lambda"]["probs"] = [0.6 * p / total for p in doc["lambda"]["probs"]]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        cfg = _config(tmp_path, instance="bad.json", policies=["mw-ucb"])
+        assert main([command, "-c", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: invalid instance: arrival probabilities sum to")
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    def test_missing_zero_schedule(self, tmp_path, capsys, command):
+        doc = self._tandem_doc()
+        doc["schedules"] = [s for s in doc["schedules"] if any(s)]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        cfg = _config(tmp_path, instance="bad.json", policies=["mw-ucb"])
+        assert main([command, "-c", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: invalid instance: ")
+        assert "schedule set lacks the all-zero schedule" in out
+        assert out.count("\n") == 1
