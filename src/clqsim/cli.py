@@ -110,6 +110,8 @@ class ExperimentConfig:
         doc = dict(doc)
         seeds = doc.get("seeds", {"base": 0, "count": 1})
         if isinstance(seeds, dict):
+            if set(seeds) - {"base", "count"}:
+                raise ConfigError(f"seeds takes only base and count, got {sorted(seeds)}")
             base, count = seeds.get("base", 0), seeds.get("count", 1)
             _require_int("seeds base", base)
             _require_int("seeds count", count)
@@ -434,7 +436,7 @@ def cmd_verify(args) -> int:
     for m, inst in enumerate(instances):
         for policy in cfg.policies:
             for seed in cfg.seeds:
-                trace = run(inst, policy, cfg.horizon, seed, snapshot_stride=0)
+                trace = run(inst, policy, cfg.horizon, seed)
                 err = replay_error(trace)
                 if err:
                     failures.append(("replay", policy, seed, err))

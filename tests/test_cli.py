@@ -2,10 +2,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from clqsim.cli import ConfigError, ExperimentConfig, _coupling_pvalue, main
+from clqsim.cli import ConfigError, ExperimentConfig, _coupling_pvalue, main, run_batch
+from clqsim.engine import run
 from clqsim.instances import figure1_instance, lower_bound_family, tandem_instance
+from clqsim.metrics import time_averaged_series
 from clqsim.model import SingleQueueInstance, instance_to_dict, save_instance
 
 
@@ -103,6 +106,46 @@ class TestSimulate:
     def test_unknown_policy_exit_one(self, tmp_path, fig1_file):
         cfg = _config(tmp_path, policies=["greedy"])
         assert main(["simulate", "-c", cfg]) == 1
+
+
+class TestBatchFold:
+    @pytest.mark.parametrize(
+        "inst, policies, include_delta",
+        [
+            (tandem_instance(2, (0.8, 0.6), 0.5), ["bp-ucb", "oracle-bp"], True),
+            (figure1_instance(), ["ucb", "oracle-best"], False),
+        ],
+    )
+    def test_run_batch_equals_time_averaged_series(self, monkeypatch, inst, policies, include_delta):
+        monkeypatch.setenv("CLQ_WORKERS", "1")
+        cfg = ExperimentConfig(
+            instance="unused.json",
+            policies=policies,
+            horizon=300,
+            seeds=[0, 1, 2],
+            epsilon=0.1,
+            include_delta=include_delta,
+            write_traces=False,
+        )
+        batch = run_batch(cfg, [inst], policies, write_traces=False)
+        for policy in policies:
+            traces = [run(inst, policy, cfg.horizon, seed) for seed in cfg.seeds]
+            want = time_averaged_series(traces, epsilon=0.1, include_delta=include_delta)
+            got = batch[policy]
+            assert (got.horizon, got.n_traces) == (want.horizon, want.n_traces)
+            for name in (
+                "avg_queue_mean",
+                "avg_queue_se",
+                "per_period_mean",
+                "per_period_se",
+                "sar_mean",
+                "sar_se",
+                "delta_mean",
+            ):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), name
+                assert a is None or np.array_equal(a, b), name
+            assert (got.delta_mean is not None) == include_delta
 
 
 class TestClqReport:
@@ -287,6 +330,7 @@ class TestConfigParsing:
             ("seeds", [0, True]),
             ("seeds", {"base": 0.5, "count": 2}),
             ("seeds", {"base": 0, "count": "3"}),
+            ("seeds", {"start": 5, "count": 3}),
             ("seeds", 3),
         ],
     )

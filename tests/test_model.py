@@ -10,6 +10,7 @@ from clqsim.model import (
     EnumerationCapExceeded,
     NetworkInstance,
     ScheduleSet,
+    ScheduleTable,
     SingleQueueInstance,
     as_network,
     effective_service_rate,
@@ -80,6 +81,32 @@ class TestScheduleSet:
         s = ScheduleSet.singletons(3)
         assert s.schedules == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
         assert s.zero_index == 3
+
+
+class TestScheduleTable:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 4))
+        owner = tuple(int(v) for v in rng.integers(0, n, k))
+        maximal = [tuple(int(v) for v in rng.integers(0, 2, k)) for _ in range(2)]
+        for sched in (ScheduleSet.closure(maximal, k), ScheduleSet.singletons(k)):
+            table = ScheduleTable.build(sched, owner)
+            assert table.schedules == sched.schedules
+            assert len(table.servers) == len(table.demand) == len(sched)
+            for r, sigma in enumerate(sched.schedules):
+                assert table.row[sigma] == r
+                assert table.servers[r] == tuple(i for i in range(k) if sigma[i])
+                need = [0] * n
+                for srv in range(k):
+                    need[owner[srv]] += sigma[srv]
+                assert dict(table.demand[r]) == {q: c for q, c in enumerate(need) if c}
+
+    def test_cached_on_instance(self):
+        inst = two_queue_singletons()
+        assert inst.schedule_table is inst.schedule_table
+        assert inst.schedule_table.server_queue == inst.server_queue
 
 
 class TestValidate:
