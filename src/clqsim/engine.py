@@ -564,9 +564,8 @@ def replay_csv_error(path: str, trace: Trace) -> str | None:
             want_moved = {srv: want_targets[t][srv] for srv in range(k) if svc >> srv & 1}
         got = (qv, sched, arr, svc, moved)
         want = (want_q[t], masks[0][t], masks[1][t], masks[2][t], want_moved)
-        if got != want:
-            for name, a, b in zip(_CSV_FIELDS, got, want):
-                if a != b:
-                    return f"line {line}: {name} {a} differs from the re-run ({b})"
+        for name, a, b in zip(_CSV_FIELDS, got, want):
+            if a != b:
+                return f"line {line}: {name} {a} differs from the re-run ({b})"
         prev_q, prev_delta = qv, delta
     return None

@@ -332,10 +332,8 @@ def structure_constants(inst: SingleQueueInstance | NetworkInstance) -> Structur
 def net_rate_matrix(inst: NetworkInstance) -> np.ndarray:
     """g[q, s]: net rate queue q gains from running schedule s alone."""
     g = np.zeros((inst.n, len(inst.schedules)))
-    for s, sigma in enumerate(inst.schedules.schedules):
-        for srv, on in enumerate(sigma):
-            if not on:
-                continue
+    for s, servers in enumerate(inst.schedule_table.servers):
+        for srv in servers:
             g[inst.server_queue[srv], s] += inst.mu[srv]
             for q in inst.destinations[srv]:
                 g[q, s] -= inst.mu[srv] * inst.transitions[srv][q]
