@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import numbers
@@ -16,7 +17,6 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from . import __version__
 from .engine import replay_csv_error, replay_error, run, trace_to_csv, ucb_queue_paths
 from .instances import (
     GenerationFailed,
-    ParameterError,
     figure1_instance,
     lower_bound_family,
     random_with_slackness,
@@ -39,7 +38,7 @@ from .metrics import (
     theorem_bounds,
 )
 from .model import (
-    DistributionError,
+    EnumerationCapExceeded,
     SingleQueueInstance,
     instance_from_dict,
     instance_to_dict,
@@ -62,7 +61,7 @@ def _require_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     """One batch run: an instance source fanned over policies and seeds."""
 
@@ -179,6 +178,25 @@ def _workers(n_jobs: int) -> int:
     return max(1, min(limit, n_jobs))
 
 
+def _batch_jobs(cfg: ExperimentConfig, instances, policies) -> list:
+    """(instance, policy, seed, horizon, trace path) of each (member, policy, seed), in job order."""
+    return [
+        (inst, policy, seed, cfg.horizon, _trace_path(cfg.out_dir, policy, seed, m, len(instances)))
+        for m, inst in enumerate(instances)
+        for policy in policies
+        for seed in cfg.seeds
+    ]
+
+
+def _fan_out(fn, jobs: list) -> list:
+    """fn over jobs, results in job order, on up to CLQ_WORKERS processes."""
+    workers = _workers(len(jobs))
+    if workers == 1:
+        return [fn(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=1))
+
+
 def _trace_path(out_dir: str, policy: str, seed: int, member: int, members: int) -> str:
     tag = policy.replace(":", "-")
     stem = f"trace_{tag}_{seed}" if members == 1 else f"trace_m{member}_{tag}_{seed}"
@@ -186,9 +204,9 @@ def _trace_path(out_dir: str, policy: str, seed: int, member: int, members: int)
 
 
 def _simulate_job(args):
-    inst, policy, seed, horizon, stride, eps, include_delta, trace_path = args
+    inst, policy, seed, horizon, trace_path, stride, eps, include_delta, write_trace = args
     trace = run(inst, policy, horizon, seed, stride)
-    if trace_path:
+    if write_trace:
         trace_to_csv(trace, trace_path)
     return (policy, seed) + series_row(trace, eps, include_delta)
 
@@ -199,38 +217,17 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool):
     Per-seed results are combined in sorted order so the aggregate floats
     never depend on worker scheduling.
     """
-    jobs = []
     if write_traces:
         os.makedirs(cfg.out_dir, exist_ok=True)
     eps = cfg.epsilon
     if eps is None:
         eps = _common_slackness(instances)
-    for m, inst in enumerate(instances):
-        for policy in policies:
-            for seed in cfg.seeds:
-                path = (
-                    _trace_path(cfg.out_dir, policy, seed, m, len(instances))
-                    if write_traces
-                    else None
-                )
-                jobs.append(
-                    (
-                        inst,
-                        policy,
-                        seed,
-                        cfg.horizon,
-                        cfg.snapshot_stride,
-                        eps if eps and eps > 0 else None,
-                        cfg.include_delta,
-                        path,
-                    )
-                )
-    workers = _workers(len(jobs))
-    if workers == 1:
-        results = [_simulate_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_job, jobs, chunksize=1))
+    eps = eps if eps and eps > 0 else None
+    jobs = [
+        job + (cfg.snapshot_stride, eps, cfg.include_delta, write_traces)
+        for job in _batch_jobs(cfg, instances, policies)
+    ]
+    results = _fan_out(_simulate_job, jobs)
     results.sort(key=lambda r: (r[0], r[1]))
     return {
         policy: fold_series(cfg.horizon, (r[2:] for r in results if r[0] == policy))
@@ -249,50 +246,28 @@ def _common_slackness(instances) -> float | None:
     return min(positive) if positive else None
 
 
-def _config_doc(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "instance": cfg.instance,
-        "policies": cfg.policies,
-        "horizon": cfg.horizon,
-        "seeds": cfg.seeds,
-        "snapshot_stride": cfg.snapshot_stride,
-        "out_dir": cfg.out_dir,
-        "benchmark": cfg.benchmark,
-        "epsilon": cfg.epsilon,
-        "include_delta": cfg.include_delta,
-        "write_traces": cfg.write_traces,
-        "coupling_seeds": cfg.coupling_seeds,
-    }
-    return doc
-
-
 def cmd_slackness(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-        problems = validate_instance(inst)
-        if problems:
-            for p in problems:
-                print(f"invalid: {p}")
-            return 1
-        if isinstance(inst, SingleQueueInstance):
-            eps = slackness_single(inst)
-            witness = {(inst.best_server,): 1.0}
-            print(f"epsilon = {eps!r}")
-            print(f"stabilizable: {'yes' if eps > 0 else 'no'}")
-            print(f"witness: always serve server {inst.best_server}")
-        else:
-            res = traffic_slackness(inst)
-            print(f"epsilon = {res.epsilon!r}")
-            print(f"stabilizable: {'yes' if res.epsilon > 0 else 'no'}")
-            print("witness:")
-            for sigma, w in zip(inst.schedules.schedules, res.witness):
-                if w > 1e-12:
-                    print(f"  phi{sigma} = {w!r}")
-            eps = res.epsilon
-        return 0 if eps > 0 else 2
-    except (OSError, ValueError, KeyError, DistributionError) as exc:
-        print(f"error: {exc}")
+    inst = load_instance(args.instance)
+    problems = validate_instance(inst)
+    if problems:
+        for p in problems:
+            print(f"invalid: {p}")
         return 1
+    if isinstance(inst, SingleQueueInstance):
+        eps = slackness_single(inst)
+        print(f"epsilon = {eps!r}")
+        print(f"stabilizable: {'yes' if eps > 0 else 'no'}")
+        print(f"witness: always serve server {inst.best_server}")
+    else:
+        res = traffic_slackness(inst)
+        print(f"epsilon = {res.epsilon!r}")
+        print(f"stabilizable: {'yes' if res.epsilon > 0 else 'no'}")
+        print("witness:")
+        for sigma, w in zip(inst.schedules.schedules, res.witness):
+            if w > 1e-12:
+                print(f"  phi{sigma} = {w!r}")
+        eps = res.epsilon
+    return 0 if eps > 0 else 2
 
 
 def cmd_simulate(args) -> int:
@@ -317,7 +292,7 @@ def cmd_simulate(args) -> int:
                 for s in cfg.seeds
             ]
         print(f"wrote {path}")
-    doc = _config_doc(cfg)
+    doc = dataclasses.asdict(cfg)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     manifest = {
         "config": doc,
@@ -387,11 +362,7 @@ def cmd_make_instance(args) -> int:
         spec["lambda0"] = args.lambda0
     if args.mu is not None:
         spec["mu"] = [float(v) for v in args.mu.split(",")]
-    try:
-        members = build_family(spec)
-    except (ParameterError, GenerationFailed, KeyError, ConfigError) as exc:
-        print(f"error: {exc}")
-        return 1
+    members = build_family(spec)
     if len(members) == 1:
         save_instance(members[0], args.out)
         print(f"wrote {args.out}")
@@ -428,31 +399,34 @@ def _coupling_pvalue(inst: SingleQueueInstance, n_seeds: int, horizon: int = 5) 
     return float(chi2_contingency(table).pvalue)
 
 
+def _verify_job(args):
+    """Re-run one (member, policy, seed) and check it: (failures, checks made)."""
+    inst, policy, seed, horizon, trace_path = args
+    trace = run(inst, policy, horizon, seed)
+    failures = []
+    err = replay_error(trace)
+    if err:
+        failures.append(("replay", policy, seed, err))
+    report = lyapunov_report(trace, inst)
+    for c in report.checks:
+        if not c.passed:
+            failures.append((c.name, policy, seed, f"margin {c.margin!r} at period {c.period}"))
+    if os.path.exists(trace_path):
+        err = replay_csv_error(trace_path, trace)
+        if err:
+            failures.append(("trace-file-replay", policy, seed, err))
+    return failures, len(report.checks) + 1
+
+
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
+    jobs = _batch_jobs(cfg, instances, cfg.policies)
     failures = []
     checked = 0
-    for m, inst in enumerate(instances):
-        for policy in cfg.policies:
-            for seed in cfg.seeds:
-                trace = run(inst, policy, cfg.horizon, seed)
-                err = replay_error(trace)
-                if err:
-                    failures.append(("replay", policy, seed, err))
-                report = lyapunov_report(trace, inst)
-                for c in report.checks:
-                    checked += 1
-                    if not c.passed:
-                        failures.append(
-                            (c.name, policy, seed, f"margin {c.margin!r} at period {c.period}")
-                        )
-                path = _trace_path(cfg.out_dir, policy, seed, m, len(instances))
-                if os.path.exists(path):
-                    err = replay_csv_error(path, trace)
-                    if err:
-                        failures.append(("trace-file-replay", policy, seed, err))
-                checked += 1
+    for job_failures, job_checks in _fan_out(_verify_job, jobs):
+        failures += job_failures
+        checked += job_checks
     single = [i for i in instances if isinstance(i, SingleQueueInstance) and i.stabilizable]
     if single and cfg.coupling_seeds > 0:
         p = _coupling_pvalue(single[0], cfg.coupling_seeds)
@@ -503,10 +477,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParameterError, GenerationFailed, PolicyError) as exc:
-        print(f"error: {exc}")
-        return 1
-    except (OSError, json.JSONDecodeError, DistributionError, KeyError, ValueError) as exc:
+    except (ValueError, KeyError, OSError, GenerationFailed, EnumerationCapExceeded) as exc:
+        # ConfigError, ParameterError, PolicyError, DistributionError and
+        # json.JSONDecodeError are ValueErrors.
         print(f"error: {exc}")
         return 1
 

@@ -101,12 +101,14 @@ def _as_handle(policy: str | PolicyHandle) -> PolicyHandle:
     return policy if isinstance(policy, PolicyHandle) else PolicyHandle.parse(policy)
 
 
-def _snapshots_from(parts: list, k: int, n: int, with_r: bool) -> Snapshots | None:
+def _snapshots_from(parts: list) -> Snapshots | None:
+    """Stack (period, mu_hat, counts, r_hat) rows; r_hat is None on a single queue."""
     if not parts:
         return None
     periods = np.array([p[0] for p in parts], dtype=np.int64)
     mu_hat = np.array([p[1] for p in parts], dtype=np.float64)
     counts = np.array([p[2] for p in parts], dtype=np.int64)
+    with_r = parts[0][3] is not None
     r_hat = np.array([p[3] for p in parts], dtype=np.float64) if with_r else None
     return Snapshots(periods=periods, mu_hat=mu_hat, counts=counts, r_hat=r_hat)
 
@@ -125,32 +127,6 @@ def run_single(
     per period (the coupling construction); "independent" draws one
     uniform per (period, server) instead.  Both have the same law.
     """
-    trace, _ = _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, None)
-    return trace
-
-
-def run_coupled_single(
-    instance: SingleQueueInstance,
-    policy: str | PolicyHandle,
-    horizon: int,
-    seed: int,
-    snapshot_stride: int = 0,
-) -> CoupledPair:
-    """Run the policy queue and the auxiliary queue on shared uniforms.
-
-    The primary trace is bit-identical to run_single with the same seed.
-    """
-    eps = slackness_single(instance)
-    if eps <= 0:
-        raise ValueError(f"coupling needs a stabilizable instance, slackness={eps}")
-    aux_rate = instance.mu_star - eps / 2.0
-    trace, aux = _run_single(
-        instance, policy, horizon, seed, snapshot_stride, "shared", aux_rate
-    )
-    return CoupledPair(primary=trace, auxiliary=aux, epsilon=eps)
-
-
-def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, aux_rate):
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     handle = _as_handle(policy)
@@ -165,8 +141,6 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
         u_srv = RandomSource(seed, "service").uniforms(horizon).tolist()
         srv_rows = None
     elif service_mode == "independent":
-        if aux_rate is not None:
-            raise ValueError("the auxiliary queue requires the shared uniform")
         u_srv = None
         srv_rows = RandomSource(seed, "service").uniforms(horizon, k).tolist()
     else:
@@ -177,19 +151,13 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
     svc_hist = np.zeros(horizon, dtype=np.uint8)
     arr_hist = np.zeros(horizon, dtype=np.uint8)
     snaps: list = []
-    aux = aux_rate is not None
-    if aux:
-        aq_hist = np.empty(horizon + 1, dtype=np.int64)
-        asel_hist = np.zeros(horizon, dtype=np.uint8)
-        asvc_hist = np.zeros(horizon, dtype=np.uint8)
-        aq = 0
 
     select = runner.select_server
     q = 0
     for t in range(1, horizon + 1):
         q_hist[t - 1] = q
         if state is not None and snapshot_stride and (t - 1) % snapshot_stride == 0:
-            snaps.append((t, state.mu_hat, list(state.counts)))
+            snaps.append((t, state.mu_hat, list(state.counts), None))
         s = 0
         if q > 0:
             j = select(q, t)
@@ -205,14 +173,6 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
         a = 1 if u_arr[t - 1] <= lam else 0
         arr_hist[t - 1] = a
         q = q - s + a
-        if aux:
-            aq_hist[t - 1] = aq
-            if aq > 0:
-                st = 1 if u_srv[t - 1] <= aux_rate else 0
-                asel_hist[t - 1] = 1
-                asvc_hist[t - 1] = st
-                aq -= st
-            aq += a
     q_hist[horizon] = q
 
     rows = np.nonzero(srv_hist >= 0)[0]
@@ -220,7 +180,7 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
     services = np.zeros((horizon, k), dtype=np.uint8)
     schedule[rows, srv_hist[rows]] = 1
     services[rows, srv_hist[rows]] = svc_hist[rows]
-    trace = Trace(
+    return Trace(
         instance=instance,
         policy=handle.cli_name,
         seed=seed,
@@ -230,27 +190,33 @@ def _run_single(instance, policy, horizon, seed, snapshot_stride, service_mode, 
         arrivals=arr_hist.reshape(-1, 1),
         services=services,
         targets=None,
-        snapshots=_snapshots_from([(t, m, c, None) for t, m, c in snaps], k, 1, False),
+        snapshots=_snapshots_from(snaps),
         final_state=state,
     )
-    if not aux:
-        return trace, None
-    aq_hist[horizon] = aq
-    aux_inst = SingleQueueInstance(k=1, lam=lam, mu=(aux_rate,))
-    aux_trace = Trace(
-        instance=aux_inst,
-        policy="oracle-best",
-        seed=seed,
-        horizon=horizon,
-        q=aq_hist.reshape(-1, 1),
-        schedule=asel_hist.reshape(-1, 1),
-        arrivals=arr_hist.reshape(-1, 1).copy(),
-        services=(asel_hist * asvc_hist).reshape(-1, 1),
-        targets=None,
-        snapshots=None,
-        final_state=None,
+
+
+def run_coupled_single(
+    instance: SingleQueueInstance,
+    policy: str | PolicyHandle,
+    horizon: int,
+    seed: int,
+    snapshot_stride: int = 0,
+) -> CoupledPair:
+    """Run the policy queue and the auxiliary queue on shared uniforms.
+
+    The auxiliary queue is the one-server instance of rate mu* - eps/2
+    under oracle-best with the same seed, so it reads the policy run's
+    arrival uniforms and its per-period shared service uniform.
+    """
+    eps = slackness_single(instance)
+    if eps <= 0:
+        raise ValueError(f"coupling needs a stabilizable instance, slackness={eps}")
+    aux = SingleQueueInstance(k=1, lam=instance.lam, mu=(instance.mu_star - eps / 2.0,))
+    return CoupledPair(
+        primary=run_single(instance, policy, horizon, seed, snapshot_stride),
+        auxiliary=run_single(aux, "oracle-best", horizon, seed),
+        epsilon=eps,
     )
-    return trace, aux_trace
 
 
 def ucb_queue_paths(
@@ -414,7 +380,7 @@ def run_network(
         arrivals=arrivals,
         services=services,
         targets=targets,
-        snapshots=_snapshots_from(snaps, k, n, True),
+        snapshots=_snapshots_from(snaps),
         final_state=state,
     )
 
@@ -428,13 +394,8 @@ def run(instance, policy, horizon, seed, snapshot_stride=0) -> Trace:
 
 def replay_error(trace: Trace) -> str | None:
     """Recompute the queue path from recorded events; None if it matches."""
-    inst = trace.instance
-    if isinstance(inst, SingleQueueInstance):
-        owner = [0] * inst.k
-        n = 1
-    else:
-        owner = list(inst.server_queue)
-        n = inst.n
+    net = as_network(trace.instance)
+    owner, n = net.server_queue, net.n
     h = trace.horizon
     dep = trace.services.astype(np.int64)
     own_mat = np.zeros((len(owner), n), dtype=np.int64)
@@ -471,8 +432,7 @@ def _masks(events: np.ndarray) -> list[int]:
 
 def trace_to_csv(trace: Trace, path: str) -> None:
     """Write the per-period event log; q columns are start-of-period."""
-    inst = trace.instance
-    n = 1 if isinstance(inst, SingleQueueInstance) else inst.n
+    n = trace.q.shape[1]
     header = ["t"] + [f"q_{i}" for i in range(n)] + [
         "schedule",
         "arrivals",

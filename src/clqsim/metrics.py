@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SingleQueueInstance, as_network, structure_constants
+from .model import SingleQueueInstance, StructureConstants, as_network, structure_constants
 from .engine import Trace
 
 
@@ -63,15 +63,13 @@ def series_row(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """One trace's (l1, SaR, delta) vectors; SaR/delta are None unless asked for.
 
-    A network trace's SaR comes from the same delta pass as its delta column.
+    SaR comes from the same delta pass as the delta column; on a single
+    queue that pass is delta_series's vectorised one, equal to sar_single.
     """
-    single = isinstance(trace.instance, SingleQueueInstance)
     delta = None
-    if include_delta or (epsilon is not None and not single):
+    if include_delta or epsilon is not None:
         delta = delta_series(trace)
-    sar_vec = None
-    if epsilon is not None:
-        sar_vec = sar_single(trace, trace.instance, epsilon) if single else _sar_of(delta, epsilon)
+    sar_vec = None if epsilon is None else _sar_of(delta, epsilon)
     return trace.l1(), sar_vec, delta if include_delta else None
 
 
@@ -213,8 +211,7 @@ def delta_series(trace: Trace, instance=None, networked: bool | None = None) -> 
         networked = not net.exit_only
     h = trace.horizon
     mu = np.asarray(net.mu, dtype=np.float64)
-    singletons_only = max(len(s) for s in net.schedule_table.servers) <= 1
-    if net.n == 1 and not networked and singletons_only:
+    if net.n == 1 and not networked and structure_constants(net).m_sigma <= 1:
         # One queue, one server at a time: every singleton is feasible
         # once q >= 1, so the comparator weight is the best service rate.
         rate = trace.schedule[:h].astype(np.float64) @ mu
@@ -301,16 +298,15 @@ def lyapunov_report(trace: Trace, instance=None, include_delta: bool = True) -> 
     every prefix; the float checks carry a 1e-9 slack.
     """
     inst = trace.instance if instance is None else instance
-    sc = structure_constants(inst)
-    single = isinstance(inst, SingleQueueInstance)
-    net = None if single else as_network(inst)
+    net = as_network(inst)
+    sc = structure_constants(net)
     h = trace.horizon
     l1 = trace.l1().astype(np.int64)
     cum = np.cumsum(l1)
     runmax = np.maximum.accumulate(l1)
     checks = []
 
-    if single or (net is not None and net.n == 1):
+    if net.n == 1:
         margins = 2 * cum - runmax**2
         at = int(margins.argmin())
         checks.append(
@@ -338,7 +334,7 @@ def lyapunov_report(trace: Trace, instance=None, include_delta: bool = True) -> 
             at + 1,
         )
     )
-    if single or (net is not None and net.n == 1):
+    if net.n == 1:
         step = np.abs(trace.q[1 : h + 1, 0] - trace.q[:h, 0])
         at = int(step.argmax())
         checks.append(
@@ -348,7 +344,7 @@ def lyapunov_report(trace: Trace, instance=None, include_delta: bool = True) -> 
     l2 = np.sqrt((trace.q.astype(np.float64) ** 2).sum(axis=1))
     dl2 = np.abs(l2[1 : h + 1] - l2[:h])
     at = int(dl2.argmax())
-    exit_only = single or net.exit_only
+    exit_only = net.exit_only
     bound = math.sqrt(
         sc.m_arr + sc.m_sigma**2 if exit_only else 2 * sc.m_arr + 3 * sc.m_sigma**2
     )
@@ -362,7 +358,7 @@ def lyapunov_report(trace: Trace, instance=None, include_delta: bool = True) -> 
     )
 
     if include_delta:
-        d = delta_series(trace, inst)
+        d = delta_series(trace, net)
         dbound = float(sc.m_sigma if exit_only else 2 * sc.m_sigma)
         hi = int(d.argmax())
         lo = int(d.argmin())
@@ -430,8 +426,10 @@ def sar_ucb_ceiling(k: int, horizon_t: float, epsilon: float) -> float:
 def theorem_bounds(instance, epsilon: float) -> TheoremBounds:
     if epsilon <= 0:
         raise ValueError("bounds are stated for positive slackness")
-    sc = structure_constants(instance)
     single = isinstance(instance, SingleQueueInstance)
+    # A single queue has its embedding's constants, but the embedding holds
+    # k+1 schedules of length k: O(k^2) memory in the k >= 2^14 regime.
+    sc = StructureConstants(1, 1, 0) if single else structure_constants(instance)
     k = instance.k
     n = 1 if single else instance.n
     ucb_upper = None

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -239,27 +240,20 @@ def as_network(inst: SingleQueueInstance | NetworkInstance) -> NetworkInstance:
 def validate_instance(inst: SingleQueueInstance | NetworkInstance) -> list[str]:
     """Every violated structural invariant, as human-readable strings."""
     out: list[str] = []
-    if isinstance(inst, SingleQueueInstance):
-        if inst.k < 1:
-            out.append(f"server count must be positive, got {inst.k}")
-        if not 0.0 <= inst.lam < 1.0:
-            out.append(f"lambda must lie in [0,1), got {inst.lam}")
-        if len(inst.mu) != inst.k:
-            out.append(f"mu has {len(inst.mu)} entries for {inst.k} servers")
-        for i, m in enumerate(inst.mu):
-            if not 0.0 <= m <= 1.0:
-                out.append(f"mu[{i}]={m} outside [0,1]")
-        return out
-
-    if inst.n < 1:
+    single = isinstance(inst, SingleQueueInstance)
+    if not single and inst.n < 1:
         out.append(f"queue count must be positive, got {inst.n}")
     if inst.k < 1:
         out.append(f"server count must be positive, got {inst.k}")
+    if single and not 0.0 <= inst.lam < 1.0:
+        out.append(f"lambda must lie in [0,1), got {inst.lam}")
     if len(inst.mu) != inst.k:
         out.append(f"mu has {len(inst.mu)} entries for {inst.k} servers")
     for i, m in enumerate(inst.mu):
         if not 0.0 <= m <= 1.0:
             out.append(f"mu[{i}]={m} outside [0,1]")
+    if single:
+        return out
 
     arr = inst.arrivals
     if abs(sum(arr.probs) - 1.0) > PROB_TOL:
@@ -321,12 +315,11 @@ def validate_instance(inst: SingleQueueInstance | NetworkInstance) -> list[str]:
 
 def structure_constants(inst: SingleQueueInstance | NetworkInstance) -> StructureConstants:
     """Exhaustive maxima over the arrival support and schedule set."""
-    if isinstance(inst, SingleQueueInstance):
-        return StructureConstants(m_arr=1, m_sigma=1, m_dep=0)
-    m_arr = max(sum(row) for row in inst.arrivals.support)
-    m_sigma = max(sum(s) for s in inst.schedules.schedules)
-    m_dep = sum(len(d) ** 2 for d in inst.destinations)
-    return StructureConstants(m_arr=int(m_arr), m_sigma=int(m_sigma), m_dep=int(m_dep))
+    net = as_network(inst)
+    m_arr = max(sum(row) for row in net.arrivals.support)
+    m_sigma = max(len(servers) for servers in net.schedule_table.servers)
+    m_dep = sum(len(d) ** 2 for d in net.destinations)
+    return StructureConstants(m_arr=int(m_arr), m_sigma=m_sigma, m_dep=m_dep)
 
 
 def net_rate_matrix(inst: NetworkInstance) -> np.ndarray:
@@ -430,43 +423,70 @@ def instance_to_dict(inst: SingleQueueInstance | NetworkInstance) -> dict:
     return doc
 
 
+_SHAPES = ("a number", "a JSON array of numbers", "a JSON array of arrays of numbers")
+
+
+def _field(doc: dict, name: str, conv, depth: int = 0, label: str | None = None):
+    """doc[name] as conv(number), or as tuples nested depth deep from JSON arrays.
+
+    An integer field takes only integral numbers.  A mistyped value raises
+    a one-line ValueError that names the field.
+    """
+    value = doc[name]
+
+    def read(v, d):
+        if d:
+            if not isinstance(v, (list, tuple)):
+                raise TypeError(v)
+            return tuple(read(x, d - 1) for x in v)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or conv(v) != v:
+            raise TypeError(v)
+        return conv(v)
+
+    try:
+        return read(value, depth)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"instance field {label or name!r} must be {_SHAPES[depth]}, got {value!r}"
+        ) from None
+
+
 def instance_from_dict(doc: dict) -> SingleQueueInstance | NetworkInstance:
+    if not isinstance(doc, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "single":
         return SingleQueueInstance(
-            k=int(doc["k"]),
-            lam=float(doc["lambda"]),
-            mu=tuple(float(m) for m in doc["mu"]),
+            k=_field(doc, "k", int),
+            lam=_field(doc, "lambda", float),
+            mu=_field(doc, "mu", float, 1),
         )
     if kind not in ("multi", "network"):
         raise ValueError(f"unknown instance kind: {kind!r}")
-    n = int(doc["n"])
-    k = int(doc["k"])
+    n = _field(doc, "n", int)
+    k = _field(doc, "k", int)
     lam = doc["lambda"]
     if isinstance(lam, dict):
         arrivals = ArrivalModel(
-            support=tuple(tuple(int(v) for v in row) for row in lam["support"]),
-            probs=tuple(float(p) for p in lam["probs"]),
+            support=_field(lam, "support", int, 2, "lambda.support"),
+            probs=_field(lam, "probs", float, 1, "lambda.probs"),
         )
     else:
         if n != 1:
             raise ValueError("scalar lambda requires n = 1")
-        arrivals = ArrivalModel.bernoulli_single(float(lam))
-    trans = doc.get("transitions")
+        arrivals = ArrivalModel.bernoulli_single(_field(doc, "lambda", float))
     transitions = (
-        tuple(tuple(float(p) for p in row) for row in trans)
-        if trans is not None
+        _field(doc, "transitions", float, 2)
+        if doc.get("transitions") is not None
         else NetworkInstance.exit_only_transitions(n, k)
     )
     return NetworkInstance(
         n=n,
         k=k,
         arrivals=arrivals,
-        mu=tuple(float(m) for m in doc["mu"]),
-        schedules=ScheduleSet(
-            schedules=tuple(tuple(int(v) for v in s) for s in doc["schedules"])
-        ),
-        server_queue=tuple(int(q) for q in doc["server_queue"]),
+        mu=_field(doc, "mu", float, 1),
+        schedules=ScheduleSet(schedules=_field(doc, "schedules", int, 2)),
+        server_queue=_field(doc, "server_queue", int, 1),
         transitions=transitions,
     )
 

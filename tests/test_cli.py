@@ -9,7 +9,14 @@ from clqsim.cli import ConfigError, ExperimentConfig, _coupling_pvalue, main, ru
 from clqsim.engine import run
 from clqsim.instances import figure1_instance, lower_bound_family, tandem_instance
 from clqsim.metrics import time_averaged_series
-from clqsim.model import SingleQueueInstance, instance_to_dict, save_instance
+from clqsim.model import (
+    ArrivalModel,
+    NetworkInstance,
+    ScheduleSet,
+    SingleQueueInstance,
+    instance_to_dict,
+    save_instance,
+)
 
 
 @pytest.fixture()
@@ -52,6 +59,64 @@ class TestSlackness:
 
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["slackness", str(tmp_path / "absent.json")]) == 1
+
+    def test_schedule_cap_exit_one(self, tmp_path, capsys):
+        # The downward closure of 13 all-on servers holds 2**13 schedules.
+        k = 13
+        inst = NetworkInstance(
+            n=1,
+            k=k,
+            arrivals=ArrivalModel.bernoulli_single(0.3),
+            mu=(0.5,) * k,
+            schedules=ScheduleSet.closure([(1,) * k], k),
+            server_queue=(0,) * k,
+            transitions=NetworkInstance.exit_only_transitions(1, k),
+        )
+        path = tmp_path / "wide.json"
+        save_instance(inst, str(path))
+        assert main(["slackness", str(path)]) == 1
+        assert capsys.readouterr().out == "error: 8192 schedules exceeds cap 4096\n"
+
+
+_MULTI_DOC = {
+    "kind": "multi",
+    "n": 2,
+    "k": 2,
+    "lambda": {"support": [[0, 0], [1, 0], [0, 1]], "probs": [0.6, 0.2, 0.2]},
+    "mu": [0.6, 0.6],
+    "schedules": [[1, 0], [0, 1], [0, 0]],
+    "server_queue": [0, 1],
+}
+
+
+class TestMistypedInstanceFields:
+    @pytest.mark.parametrize("command", ["simulate", "slackness"])
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"kind": "single", "k": 2, "lambda": 0.3, "mu": 5}, "mu"),
+            ({"kind": "single", "k": 2, "lambda": 0.3, "mu": "0.5"}, "mu"),
+            ({"kind": "single", "k": 2.5, "lambda": 0.3, "mu": [0.5, 0.6]}, "k"),
+            ({"kind": "single", "k": 2, "lambda": [0.3], "mu": [0.5, 0.6]}, "lambda"),
+            ({"kind": "single", "k": True, "lambda": 0.3, "mu": [0.5]}, "k"),
+            (dict(_MULTI_DOC, server_queue="01"), "server_queue"),
+            (dict(_MULTI_DOC, n="2"), "n"),
+            (dict(_MULTI_DOC, schedules=[[1, 0], "01", [0, 0]]), "schedules"),
+            (dict(_MULTI_DOC, mu=[0.6, None]), "mu"),
+            (dict(_MULTI_DOC, transitions=[[0, 0, 1], 1]), "transitions"),
+            (dict(_MULTI_DOC, **{"lambda": {"support": "10", "probs": [1.0]}}), "lambda.support"),
+            (dict(_MULTI_DOC, **{"lambda": {"support": [[0, 0]], "probs": 1.0}}), "lambda.probs"),
+        ],
+    )
+    def test_exit_one_naming_the_field(self, tmp_path, capsys, command, doc, field):
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        argv = ["slackness", str(tmp_path / "bad.json")]
+        if command == "simulate":
+            argv = ["simulate", "-c", _config(tmp_path, instance="bad.json")]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: instance field {field!r} must be ")
+        assert out.count("\n") == 1
 
 
 class TestSimulate:
@@ -225,6 +290,38 @@ class TestVerify:
         assert main(["verify", "-c", cfg]) == 3
         out = capsys.readouterr().out
         assert "FAIL check=trace-file-replay policy=bp-ucb seed=2: line 31: malformed row" in out
+
+    @staticmethod
+    def _corrupt(path):
+        lines = path.read_text().splitlines()
+        parts = lines[30].split(",")
+        parts[1] = str(int(parts[1]) + 2)
+        lines[30] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_worker_count_invariance(self, tmp_path, fig1_file, capsys, monkeypatch, corrupt):
+        cfg = _config(tmp_path, policies=["ucb", "round-robin"], seeds={"base": 0, "count": 4})
+        assert main(["simulate", "-c", cfg]) == 0
+        if corrupt:
+            for name in ("trace_round-robin_3.csv", "trace_ucb_2.csv", "trace_ucb_0.csv"):
+                self._corrupt(tmp_path / "out" / name)
+        capsys.readouterr()
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CLQ_WORKERS", workers)
+            assert main(["verify", "-c", cfg]) == (3 if corrupt else 0)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        if corrupt:
+            fails = [line.split(":")[0] for line in outs[0].splitlines() if line.startswith("FAIL")]
+            assert fails == [
+                "FAIL check=trace-file-replay policy=ucb seed=0",
+                "FAIL check=trace-file-replay policy=ucb seed=2",
+                "FAIL check=trace-file-replay policy=round-robin seed=3",
+            ]
+        else:
+            assert outs[0].endswith("all checks passed (65 checks)\n")
 
     def test_coupling_pvalue_pinned(self):
         inst = SingleQueueInstance(2, 0.5, (0.3, 0.7))

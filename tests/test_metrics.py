@@ -20,6 +20,7 @@ from clqsim.metrics import (
     sar_single,
     sar_ucb_ceiling,
     schedule_weight,
+    series_row,
     series_to_csv,
     theorem_bounds,
     time_averaged_series,
@@ -144,6 +145,21 @@ class TestSarSingle:
         out = sar(tr, 0.1)
         assert out[0] >= 0
         assert (np.diff(out) >= 0).all()
+
+    @pytest.mark.parametrize("policy", ["ucb", "round-robin", "fixed:0"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_series_row_matches_sar_single(self, policy, seed):
+        # series_row takes SaR from the delta pass, sar_single from the rates.
+        inst = figure1_instance()
+        tr = run_single(inst, policy, 2000, seed)
+        l1, sar_vec, delta = series_row(tr, 0.1)
+        assert np.array_equal(l1, tr.l1())
+        assert sar_vec.tobytes() == sar_single(tr, inst, 0.1).tobytes()
+        assert delta is None
+        _, sar_with, delta = series_row(tr, 0.1, include_delta=True)
+        assert sar_with.tobytes() == sar_vec.tobytes()
+        assert delta.tobytes() == delta_series(tr).tobytes()
+        assert series_row(tr)[1:] == (None, None)
 
 
 class TestScheduleWeight:
