@@ -178,10 +178,12 @@ def _workers(n_jobs: int) -> int:
     return max(1, min(limit, n_jobs))
 
 
-def _batch_jobs(cfg: ExperimentConfig, instances, policies) -> list:
-    """(instance, policy, seed, horizon, trace path) of each (member, policy, seed), in job order."""
+def _batch_jobs(cfg: ExperimentConfig, instances, policies, traces: bool) -> list:
+    """(instance, policy, seed, horizon, trace path or None when traces is off)
+    of each (member, policy, seed), in job order."""
     return [
-        (inst, policy, seed, cfg.horizon, _trace_path(cfg.out_dir, policy, seed, m, len(instances)))
+        (inst, policy, seed, cfg.horizon,
+         _trace_path(cfg.out_dir, policy, seed, m, len(instances)) if traces else None)
         for m, inst in enumerate(instances)
         for policy in policies
         for seed in cfg.seeds
@@ -204,28 +206,27 @@ def _trace_path(out_dir: str, policy: str, seed: int, member: int, members: int)
 
 
 def _simulate_job(args):
-    inst, policy, seed, horizon, trace_path, stride, eps, include_delta, write_trace = args
+    inst, policy, seed, horizon, trace_path, stride, eps, include_delta = args
     trace = run(inst, policy, horizon, seed, stride)
-    if write_trace:
+    if trace_path is not None:
         trace_to_csv(trace, trace_path)
     return (policy, seed) + series_row(trace, eps, include_delta)
 
 
-def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool):
+def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, eps=None):
     """Fan (member, policy, seed) jobs over a process pool and aggregate.
 
-    Per-seed results are combined in sorted order so the aggregate floats
-    never depend on worker scheduling.
+    eps, the SaR slackness, defaults to cfg.epsilon; commands pass the one
+    _run_plan resolved.  Per-seed results are combined in sorted order so
+    the aggregate floats never depend on worker scheduling.
     """
     if write_traces:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    eps = cfg.epsilon
-    if eps is None:
-        eps = _common_slackness(instances)
+    eps = cfg.epsilon if eps is None else eps
     eps = eps if eps and eps > 0 else None
     jobs = [
-        job + (cfg.snapshot_stride, eps, cfg.include_delta, write_traces)
-        for job in _batch_jobs(cfg, instances, policies)
+        job + (cfg.snapshot_stride, eps, cfg.include_delta)
+        for job in _batch_jobs(cfg, instances, policies, write_traces)
     ]
     results = _fan_out(_simulate_job, jobs)
     results.sort(key=lambda r: (r[0], r[1]))
@@ -235,15 +236,20 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool):
     }
 
 
-def _common_slackness(instances) -> float | None:
-    vals = []
-    for inst in instances:
+def _run_plan(cfg: ExperimentConfig, instances) -> tuple[list[str], float | None]:
+    """Policies to run (the configured ones, then the benchmark) and the
+    slackness: cfg.epsilon, else the instances' smallest positive one;
+    None unless positive."""
+    policies = list(cfg.policies)
+    if cfg.benchmark and cfg.benchmark not in policies:
+        policies.append(cfg.benchmark)
+    eps = cfg.epsilon
+    if eps is None:
         try:
-            vals.append(slackness_of(inst))
+            eps = min((e for e in map(slackness_of, instances) if e > 0), default=None)
         except Exception:
-            return None
-    positive = [v for v in vals if v > 0]
-    return min(positive) if positive else None
+            eps = None
+    return policies, eps if eps is not None and eps > 0 else None
 
 
 def cmd_slackness(args) -> int:
@@ -275,10 +281,8 @@ def cmd_simulate(args) -> int:
     instances = resolve_instances(cfg.instance)
     if len(instances) != 1:
         raise ConfigError("simulate expects a single instance; use clq for families")
-    policies = list(cfg.policies)
-    if cfg.benchmark and cfg.benchmark not in policies:
-        policies.append(cfg.benchmark)
-    series = run_batch(cfg, instances, policies, cfg.write_traces)
+    policies, eps = _run_plan(cfg, instances)
+    series = run_batch(cfg, instances, policies, cfg.write_traces, eps)
     os.makedirs(cfg.out_dir, exist_ok=True)
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
     outputs = {"series": {}, "traces": {}}
@@ -316,14 +320,11 @@ def cmd_simulate(args) -> int:
 def cmd_clq(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
-    policies = list(cfg.policies)
-    if cfg.benchmark and cfg.benchmark not in policies:
-        policies.append(cfg.benchmark)
-    series = run_batch(cfg, instances, policies, write_traces=False)
+    policies, eps = _run_plan(cfg, instances)
+    series = run_batch(cfg, instances, policies, False, eps)
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
     if len(instances) > 1:
         print(f"family average over {len(instances)} members")
-    eps = cfg.epsilon if cfg.epsilon is not None else _common_slackness(instances)
     for policy in cfg.policies:
         ps = series[policy]
         est, t_star, late = clq_details(ps, bench)
@@ -334,7 +335,7 @@ def cmd_clq(args) -> int:
         if late:
             line += "  [peak in final 10% of horizon; estimate may be truncated]"
         print(line)
-    if eps is not None and eps > 0:
+    if eps is not None:
         tb = theorem_bounds(instances[0], eps)
         print(f"bounds at epsilon = {eps!r}:")
         for name, val in (
@@ -411,8 +412,11 @@ def _verify_job(args):
     for c in report.checks:
         if not c.passed:
             failures.append((c.name, policy, seed, f"margin {c.margin!r} at period {c.period}"))
-    if os.path.exists(trace_path):
-        err = replay_csv_error(trace_path, trace)
+    if trace_path is not None:  # the config writes traces
+        if os.path.exists(trace_path):
+            err = replay_csv_error(trace_path, trace)
+        else:
+            err = f"missing trace file {os.path.basename(trace_path)}"
         if err:
             failures.append(("trace-file-replay", policy, seed, err))
     return failures, len(report.checks) + 1
@@ -421,7 +425,7 @@ def _verify_job(args):
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
-    jobs = _batch_jobs(cfg, instances, cfg.policies)
+    jobs = _batch_jobs(cfg, instances, cfg.policies, cfg.write_traces)
     failures = []
     checked = 0
     for job_failures, job_checks in _fan_out(_verify_job, jobs):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,49 +130,59 @@ def run_single(
         raise ValueError("horizon must be at least 1")
     handle = _as_handle(policy)
     k = instance.k
-    lam = instance.lam
     mu = list(instance.mu)
     runner = Runner(handle, instance)
     state = runner.state
 
-    u_arr = RandomSource(seed, "arrival").uniforms(horizon).tolist()
-    if service_mode == "shared":
-        u_srv = RandomSource(seed, "service").uniforms(horizon).tolist()
-        srv_rows = None
-    elif service_mode == "independent":
-        u_srv = None
-        srv_rows = RandomSource(seed, "service").uniforms(horizon, k).tolist()
-    else:
+    arrive = (RandomSource(seed, "arrival").uniforms(horizon) <= instance.lam).astype(np.int64)
+    if service_mode not in ("shared", "independent"):
         raise ValueError(f"unknown service_mode {service_mode!r}")
-
-    q_hist = np.empty(horizon + 1, dtype=np.int64)
-    srv_hist = np.full(horizon, -1, dtype=np.int16)
-    svc_hist = np.zeros(horizon, dtype=np.uint8)
-    arr_hist = np.zeros(horizon, dtype=np.uint8)
+    shared = service_mode == "shared"
+    u_srv = RandomSource(seed, "service").uniforms(*((horizon,) if shared else (horizon, k)))
     snaps: list = []
 
-    select = runner.select_server
-    q = 0
-    for t in range(1, horizon + 1):
-        q_hist[t - 1] = q
-        if state is not None and snapshot_stride and (t - 1) % snapshot_stride == 0:
-            snaps.append((t, state.mu_hat, list(state.counts), None))
-        s = 0
-        if q > 0:
-            j = select(q, t)
-            if j is not None:
-                if not 0 <= j < k:
-                    raise PolicyError(f"policy chose server {j} outside 0..{k - 1}")
-                u = u_srv[t - 1] if srv_rows is None else srv_rows[t - 1][j]
-                s = 1 if u <= mu[j] else 0
-                srv_hist[t - 1] = j
-                svc_hist[t - 1] = s
-                if state is not None:
-                    state.record(j, s, None)
-        a = 1 if u_arr[t - 1] <= lam else 0
-        arr_hist[t - 1] = a
-        q = q - s + a
-    q_hist[horizon] = q
+    if runner.fixed_server is not None:
+        # Q(t+1) = max(Q(t) - S(t), 0) + A(t), so R(t) = Q(t+1) - A(t) is the
+        # Lindley recursion R(t) = max(R(t-1) + A(t-1) - S(t), 0), R(0) = 0:
+        # R(t) = C(t) - min(0, min_{m<=t} C(m)) for C the running sum, where
+        # the 0 drops out as C(1) = -S(1) <= 0.
+        j = runner.fixed_server
+        svc_hist = ((u_srv if shared else u_srv[:, j]) <= mu[j]).astype(np.int64)
+        step = -svc_hist
+        step[1:] += arrive[:-1]
+        c = np.cumsum(step)
+        q_hist = np.zeros(horizon + 1, dtype=np.int64)
+        q_hist[1:] = c - np.minimum.accumulate(c) + arrive
+        srv_hist = np.where(q_hist[:horizon] > 0, j, -1)
+    else:
+        u_srv = u_srv.tolist()
+        arr_list = arrive.tolist()
+        q_list = [0] * (horizon + 1)
+        srv_list = [-1] * horizon
+        svc_list = [0] * horizon
+        stride = snapshot_stride if state is not None else 0
+        select = runner.select_server
+        q = 0
+        for t in range(1, horizon + 1):
+            if stride and (t - 1) % stride == 0:
+                snaps.append((t, state.mu_hat, list(state.counts), None))
+            if q > 0:
+                j = select(q, t)
+                if j is not None:
+                    if not 0 <= j < k:
+                        raise PolicyError(f"policy chose server {j} outside 0..{k - 1}")
+                    u = u_srv[t - 1] if shared else u_srv[t - 1][j]
+                    s = 1 if u <= mu[j] else 0
+                    srv_list[t - 1] = j
+                    svc_list[t - 1] = s
+                    if state is not None:
+                        state.record(j, s, None)
+                    q -= s
+            q += arr_list[t - 1]
+            q_list[t] = q
+        q_hist = np.array(q_list, dtype=np.int64)
+        srv_hist = np.array(srv_list, dtype=np.int64)
+        svc_hist = np.array(svc_list, dtype=np.uint8)
 
     rows = np.nonzero(srv_hist >= 0)[0]
     schedule = np.zeros((horizon, k), dtype=np.uint8)
@@ -187,7 +196,7 @@ def run_single(
         horizon=horizon,
         q=q_hist.reshape(-1, 1),
         schedule=schedule,
-        arrivals=arr_hist.reshape(-1, 1),
+        arrivals=arrive.astype(np.uint8).reshape(-1, 1),
         services=services,
         targets=None,
         snapshots=_snapshots_from(snaps),
@@ -308,31 +317,31 @@ def run_network(
     m_sigma = structure_constants(net).m_sigma
     exit_only = net.exit_only
 
-    u_arr = RandomSource(seed, "arrival").uniforms(horizon).tolist()
-    if m_sigma <= 1:
-        u_shared = RandomSource(seed, "service").uniforms(horizon).tolist()
-        u_per_srv = None
-    else:
-        u_shared = None
-        u_per_srv = RandomSource(seed, "service").uniforms(horizon, k).tolist()
-    u_tr = None if exit_only else RandomSource(seed, "transition").uniforms(horizon, k).tolist()
-    cum_arr = list(net.arrivals.cumulative)
-    arr_support = [tuple(r) for r in net.arrivals.support]
-    arr_ones = [tuple(i for i, v in enumerate(r) if v) for r in arr_support]
-    cum_tr = [list(np.cumsum(net.transitions[srv])) for srv in range(k)]
+    # Arrival rows and transition destinations are inverse-CDF lookups of
+    # policy-independent uniforms, so they are drawn for every period up front.
+    u_arr = RandomSource(seed, "arrival").uniforms(horizon)
+    shared = m_sigma <= 1
+    shape = (horizon,) if shared else (horizon, k)
+    u_srv = RandomSource(seed, "service").uniforms(*shape).tolist()
+    support = np.array(net.arrivals.support, dtype=np.uint8)
+    arr_idx = np.minimum(np.searchsorted(net.arrivals.cumulative, u_arr), len(support) - 1)
+    arr_ones = [tuple(i for i, v in enumerate(r) if v) for r in support.tolist()]
+    dest = dest_rows = None
+    if not exit_only:
+        u_tr = RandomSource(seed, "transition").uniforms(horizon, k)
+        cum_tr = [np.cumsum(net.transitions[srv]) for srv in range(k)]
+        dest = np.minimum([np.searchsorted(cum_tr[srv], u_tr[:, srv]) for srv in range(k)], n).T
+        dest_rows = dest.tolist()
 
     q = [0] * n
-    q_hist = np.empty((horizon + 1, n), dtype=np.int64)
-    schedule = np.zeros((horizon, k), dtype=np.uint8)
-    services = np.zeros((horizon, k), dtype=np.uint8)
-    arrivals = np.zeros((horizon, n), dtype=np.uint8)
-    targets = None if exit_only else np.full((horizon, k), -1, dtype=np.int16)
-    snaps: list = []
+    q_rows, sched_rows, served, snaps = [], [], [], []
+    stride = snapshot_stride if state is not None else 0
     select = runner.select_schedule
 
-    for t in range(1, horizon + 1):
-        q_hist[t - 1] = q
-        if state is not None and snapshot_stride and (t - 1) % snapshot_stride == 0:
+    for row, ai in enumerate(arr_idx.tolist()):
+        t = row + 1
+        q_rows.append(q[:])
+        if stride and row % stride == 0:
             snaps.append((t, state.mu_hat, list(state.counts), state.r_hat))
         sigma = select(q, t)
         r = table.row.get(tuple(sigma))
@@ -343,43 +352,37 @@ def run_network(
                 raise PolicyError(
                     f"schedule {sigma} infeasible at t={t}: queue {qi} holds {q[qi]}"
                 )
-        row = t - 1
+        sched_rows.append(r)
         for srv in table.servers[r]:
-            schedule[row, srv] = 1
-            u = u_shared[row] if u_per_srv is None else u_per_srv[row][srv]
+            u = u_srv[row] if shared else u_srv[row][srv]
             s = 1 if u <= mu[srv] else 0
             target = None
             if s:
-                services[row, srv] = 1
+                served.append(row * k + srv)
                 q[owner[srv]] -= 1
-                if not exit_only:
-                    d = bisect_left(cum_tr[srv], u_tr[row][srv])
-                    if d > n:
-                        d = n
-                    targets[row, srv] = d
+                if dest_rows is not None:
+                    d = dest_rows[row][srv]
                     if d < n:
                         q[d] += 1
                         target = d
             if state is not None:
                 state.record(srv, s, target)
-        ai = bisect_left(cum_arr, u_arr[row])
-        if ai >= len(arr_support):
-            ai = len(arr_support) - 1
         for qi in arr_ones[ai]:
-            arrivals[row, qi] = 1
             q[qi] += 1
-    q_hist[horizon] = q
+    q_rows.append(q)
 
+    services = np.zeros((horizon, k), dtype=np.uint8)
+    services.reshape(-1)[served] = 1
     return Trace(
         instance=net,
         policy=handle.cli_name,
         seed=seed,
         horizon=horizon,
-        q=q_hist,
-        schedule=schedule,
-        arrivals=arrivals,
+        q=np.array(q_rows, dtype=np.int64),
+        schedule=np.array(table.schedules, dtype=np.uint8)[sched_rows],
+        arrivals=support[arr_idx],
         services=services,
-        targets=targets,
+        targets=None if dest is None else np.where(services == 1, dest, -1).astype(np.int16),
         snapshots=_snapshots_from(snaps),
         final_state=state,
     )

@@ -411,11 +411,16 @@ def series_to_csv(series: MetricSeries, path: str, benchmark: MetricSeries | Non
     ]
     with open(path, "w", newline="") as fh:
         fh.write("T," + ",".join(name for name, _ in cols) + "\r\n")
-        for i in range(series.horizon):
-            vals = [
-                "" if col is None else repr(float(col[i])) for _, col in cols
+        for lo in range(0, series.horizon, 2048):  # by blocks, so memory stays flat in horizon
+            hi = min(lo + 2048, series.horizon)
+            cells = [
+                map(repr, np.asarray(col[lo:hi], dtype=np.float64).tolist())
+                if col is not None
+                else [""] * (hi - lo)
+                for _, col in cols
             ]
-            fh.write(f"{i + 1}," + ",".join(vals) + "\r\n")
+            lines = map(",".join, zip(map(str, range(lo + 1, hi + 1)), *cells))
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def sar_ucb_ceiling(k: int, horizon_t: float, epsilon: float) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -44,6 +44,11 @@ class SingleQueueInstance:
     @property
     def stabilizable(self) -> bool:
         return self.mu_star > self.lam
+
+    @cached_property
+    def network(self) -> "NetworkInstance":
+        """The exit-only one-queue embedding, built once per instance."""
+        return single_to_network(self)
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,8 @@ class ScheduleTable:
 
     servers[r] lists the servers schedule r selects, ascending; demand[r]
     holds (queue, jobs needed) pairs; row maps a schedule tuple to r.
+    cap[i] is the most jobs any schedule needs from queue i, so a fit depends
+    only on q clipped at cap: the key of memo (policies.feasible_rows).
     """
 
     schedules: tuple[tuple[int, ...], ...]
@@ -148,20 +155,25 @@ class ScheduleTable:
     servers: tuple[tuple[int, ...], ...]
     demand: tuple[tuple[tuple[int, int], ...], ...]
     row: dict[tuple[int, ...], int]
+    cap: tuple[int, ...]
+    memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, schedules: ScheduleSet, server_queue: Sequence[int]) -> "ScheduleTable":
         owner = tuple(server_queue)
         servers, demand, row = [], [], {}
+        cap = [0] * (max(owner, default=-1) + 1)
         for r, sigma in enumerate(schedules.schedules):
             sel = tuple(i for i, v in enumerate(sigma) if v)
             load: dict[int, int] = {}
             for srv in sel:
                 load[owner[srv]] = load.get(owner[srv], 0) + 1
+            for qi, c in load.items():
+                cap[qi] = max(cap[qi], c)
             servers.append(sel)
             demand.append(tuple(load.items()))
             row.setdefault(sigma, r)
-        return cls(schedules.schedules, owner, tuple(servers), tuple(demand), row)
+        return cls(schedules.schedules, owner, tuple(servers), tuple(demand), row, tuple(cap))
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,7 @@ def single_to_network(inst: SingleQueueInstance) -> NetworkInstance:
 
 def as_network(inst: SingleQueueInstance | NetworkInstance) -> NetworkInstance:
     if isinstance(inst, SingleQueueInstance):
-        return single_to_network(inst)
+        return inst.network
     return inst
 
 

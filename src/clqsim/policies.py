@@ -6,10 +6,11 @@ means are exact ratios, never drifting running averages.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .model import NetworkInstance, ScheduleTable, SingleQueueInstance, as_network
+from .model import NetworkInstance, ScheduleTable, SingleQueueInstance
 
 VARIANTS = (
     "ucb",
@@ -121,15 +122,27 @@ def feasible_schedules(table: ScheduleTable, q: Sequence[int]) -> list[tuple[int
     ]
 
 
+def feasible_rows(table: ScheduleTable, q: Sequence[int]) -> list:
+    """(schedule, servers) of each schedule that fits q, in stored order,
+    memoised in table.memo on q clipped at table.cap."""
+    key = tuple(map(min, q, table.cap))
+    rows = table.memo.get(key)
+    if rows is None:
+        rows = table.memo[key] = [
+            (sigma, table.servers[table.row[sigma]]) for sigma in feasible_schedules(table, q)
+        ]
+    return rows
+
+
 def _heaviest(table: ScheduleTable, q: Sequence[int], gain: Sequence[float]) -> tuple[int, ...]:
     """Feasible schedule with the largest summed per-server gain.
 
     Ties go to the first-encountered schedule in stored order.
     """
     best_w, best = -math.inf, None
-    for sigma in feasible_schedules(table, q):
+    for sigma, servers in feasible_rows(table, q):
         w = 0.0
-        for srv in table.servers[table.row[sigma]]:
+        for srv in servers:
             w += gain[srv]
         if w > best_w:
             best_w, best = w, sigma
@@ -151,10 +164,9 @@ def backpressure_select(
     table: ScheduleTable,
 ) -> tuple[int, ...]:
     """MaxWeight with per-server penalties for feeding long queues."""
-    n = len(q)
     owner = table.server_queue
     gain = [
-        mu_bar[srv] * q[owner[srv]] - sum(r_lower[srv][i] * q[i] for i in range(n))
+        mu_bar[srv] * q[owner[srv]] - sum(map(operator.mul, r_lower[srv], q))
         for srv in range(len(mu_bar))
     ]
     return _heaviest(table, q, gain)
@@ -224,43 +236,72 @@ class PolicyHandle:
 
 
 class Runner:
-    """Per-run decision engine for one policy on one instance."""
+    """Per-run decision engine for one policy on one instance.
+
+    __init__ binds the variant's selector once; select_server (one queue)
+    and select_schedule (network) call it per decision.
+    """
 
     def __init__(self, handle: PolicyHandle, inst: SingleQueueInstance | NetworkInstance):
-        net = as_network(inst)
+        single = isinstance(inst, SingleQueueInstance)
         self.handle = handle
-        self.k = net.k
-        self.n = net.n
-        self.table = net.schedule_table
-        self.state = PolicyState(k=net.k, n=net.n) if handle.learning else None
+        self.k = k = inst.k
+        self.n = n = 1 if single else inst.n
+        self.state = PolicyState(k=k, n=n) if handle.learning else None
         self._rr = 0
         v = handle.variant
-        if v == "fixed" and not 0 <= handle.fixed_server < net.k:
+        if v == "fixed" and not 0 <= handle.fixed_server < k:
             raise PolicyError(f"fixed server {handle.fixed_server} outside range")
-        if v in ("oracle_best", "oracle_mw", "oracle_bp"):
-            self._mu = list(net.mu)
-            self._best = max(range(net.k), key=lambda i: net.mu[i])
-            self._r_true = [
-                [net.mu[srv] * net.transitions[srv][i] for i in range(net.n)]
-                for srv in range(net.k)
-            ]
+        mu = list(inst.mu)
+        # The one server a fixed-server run uses; on one queue every oracle
+        # serves the best server.
+        self.fixed_server = handle.fixed_server
+        if v == "oracle_best" or (single and v.startswith("oracle")):
+            self.fixed_server = max(range(k), key=lambda i: mu[i])
+        if single:
+            # On one queue every learner's weighting reduces to the UCB argmax.
+            self._pick = self._ucb_server if handle.learning else self._next_server
+            if self.fixed_server is not None:
+                self._pick = lambda q, t: self.fixed_server
+            return
+        self.table = table = inst.schedule_table
+        r_true = [[mu[srv] * inst.transitions[srv][i] for i in range(n)] for srv in range(k)]
+        self._pick = {
+            "ucb": self._maxweight_ucb,
+            "mw_ucb": self._maxweight_ucb,
+            "bp_ucb": self._backpressure_ucb,
+            "oracle_mw": lambda q, t: maxweight_select(q, mu, table),
+            "oracle_bp": lambda q, t: backpressure_select(q, mu, r_true, table),
+            "oracle_best": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
+            "fixed": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
+            "round_robin": self._next_schedule,
+        }[v]
 
     # -- single-queue selection ------------------------------------------
 
     def select_server(self, q: int, t: int) -> int | None:
         """Server choice for the scalar-queue dynamics; None = idle."""
-        if q == 0:
-            return None
-        v = self.handle.variant
-        if v in ("ucb", "mw_ucb", "bp_ucb"):
-            # On one queue the weight/penalty structure degenerates to
-            # the plain optimistic index argmax.
-            self.state.t = t
-            return ucb_select(self.state, q)
-        if v in ("oracle_best", "oracle_mw", "oracle_bp"):
-            return self._best
-        if v == "fixed":
-            return self.handle.fixed_server
+        return self._pick(q, t) if q else None
+
+    def _ucb_server(self, q: int, t: int) -> int:
+        """ucb_select at period t: ucb_indices' arithmetic, a first-index argmax
+        by strict >, and the first index at the clamp 1.0 wins at once."""
+        state = self.state
+        state.t = t
+        counts, succ, sqrt = state.counts, state.succ, math.sqrt
+        two_log, best, arg = 2.0 * math.log(t), -1.0, 0
+        for j in range(self.k):
+            c = counts[j]
+            if not c:
+                return j
+            v = succ[j] / c + sqrt(two_log / c)
+            if v >= 1.0:
+                return j
+            if v > best:
+                best, arg = v, j
+        return arg
+
+    def _next_server(self, q, t) -> int:
         j = self._rr % self.k
         self._rr += 1
         return j
@@ -268,32 +309,31 @@ class Runner:
     # -- network selection ------------------------------------------------
 
     def select_schedule(self, q: Sequence[int], t: int) -> tuple[int, ...]:
-        v = self.handle.variant
-        if v in ("ucb", "mw_ucb"):
-            self.state.t = t
-            return maxweight_select(q, self.state.ucb_indices(t), self.table)
-        if v == "bp_ucb":
-            state = self.state
-            state.t = t
-            r_low = [
-                [lcb_transition(row[j] / c if c else 0.0, c, t) for j in range(self.n)]
-                for row, c in zip(state.trans, state.counts)
-            ]
-            return backpressure_select(q, state.ucb_indices(t), r_low, self.table)
-        if v == "oracle_mw":
-            return maxweight_select(q, self._mu, self.table)
-        if v == "oracle_bp":
-            return backpressure_select(q, self._mu, self._r_true, self.table)
-        if v in ("oracle_best", "fixed"):
-            srv = self._best if v == "oracle_best" else self.handle.fixed_server
-            return self._singleton_if_feasible(q, srv)
+        return self._pick(q, t)
+
+    def _maxweight_ucb(self, q: Sequence[int], t: int) -> tuple[int, ...]:
+        self.state.t = t
+        return maxweight_select(q, self.state.ucb_indices(t), self.table)
+
+    def _backpressure_ucb(self, q: Sequence[int], t: int) -> tuple[int, ...]:
+        """BackPressure on UCB rates and LCB transitions; one sqrt(2 log t / c)
+        per server serves both, with ucb_index's and lcb_transition's arithmetic."""
+        state = self.state
+        state.t = t
+        two_log, mu_bar, r_low = 2.0 * math.log(t), [], []
+        for s, c, row in zip(state.succ, state.counts, state.trans):
+            root = math.sqrt(two_log / c) if c else 0.0
+            mu_bar.append(min(1.0, s / c + root) if c else 1.0)
+            # A zero tally (always so when c = 0) has the LCB 0.0.
+            r_low.append([max(0.0, r / c - root) if r else 0.0 for r in row])
+        return backpressure_select(q, mu_bar, r_low, self.table)
+
+    def _next_schedule(self, q: Sequence[int], t: int) -> tuple[int, ...]:
         if max(q) == 0:
             # Align with the scalar dynamics, where an empty queue never
             # consults the policy: the rotation pointer must not move.
             return (0,) * self.k
-        srv = self._rr % self.k
-        self._rr += 1
-        return self._singleton_if_feasible(q, srv)
+        return self._singleton_if_feasible(q, self._next_server(q, t))
 
     def _singleton_if_feasible(self, q: Sequence[int], srv: int) -> tuple[int, ...]:
         sigma = tuple(1 if i == srv else 0 for i in range(self.k))

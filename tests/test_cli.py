@@ -233,6 +233,20 @@ class TestClqReport:
         assert "36036.74591495101" in out
 
 
+    def test_network_slackness_solved_once(self, tmp_path, capsys, monkeypatch):
+        from clqsim import cli
+
+        calls = []
+        solve = cli.slackness_of
+        monkeypatch.setattr(cli, "slackness_of", lambda inst: calls.append(inst) or solve(inst))
+        save_instance(tandem_instance(3, (0.8, 0.7, 0.6), 0.4), str(tmp_path / "tandem.json"))
+        cfg = _config(tmp_path, instance="tandem.json", policies=["mw-ucb"], benchmark="oracle-mw")
+        assert main(["clq", "-c", cfg]) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        assert f"bounds at epsilon = {solve(calls[0])!r}:" in out
+
+
 class TestVerify:
     def test_clean_run_passes(self, tmp_path, fig1_file):
         cfg = _config(tmp_path)
@@ -276,6 +290,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL check=trace-file-replay policy=ucb seed=0:" in out
         assert "differs from the re-run" in out
+
+    def test_missing_trace_file_fails(self, tmp_path, fig1_file, capsys):
+        cfg = _config(tmp_path)
+        assert main(["simulate", "-c", cfg]) == 0
+        os.remove(tmp_path / "out" / "trace_ucb_1.csv")
+        assert main(["verify", "-c", cfg]) == 3
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL check=trace-file-replay policy=ucb seed=1: missing trace file trace_ucb_1.csv"
+        ]
 
     def test_malformed_transitions_cell_fails(self, tmp_path, capsys):
         save_instance(tandem_instance(2, (0.8, 0.6), 0.5), str(tmp_path / "tandem.json"))

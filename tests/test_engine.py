@@ -106,6 +106,58 @@ class TestRunSingle:
             run_single(figure1_instance(), "ucb", 0, 0)
 
 
+def _fixed_server_reference(inst, server, horizon, seed, service_mode):
+    """Per-period loop of a single queue served only by server: the recursion
+    Q(t+1) = Q(t) - S(t) + A(t), service tried only when Q(t) >= 1."""
+    u_arr = RandomSource(seed, "arrival").uniforms(horizon)
+    shape = (horizon,) if service_mode == "shared" else (horizon, inst.k)
+    u_srv = RandomSource(seed, "service").uniforms(*shape)
+    q = np.zeros((horizon + 1, 1), dtype=np.int64)
+    schedule = np.zeros((horizon, inst.k), dtype=np.uint8)
+    services = np.zeros((horizon, inst.k), dtype=np.uint8)
+    arrivals = np.zeros((horizon, 1), dtype=np.uint8)
+    for t in range(horizon):
+        s = 0
+        if q[t, 0] > 0:
+            u = u_srv[t] if service_mode == "shared" else u_srv[t, server]
+            s = int(u <= inst.mu[server])
+            schedule[t, server], services[t, server] = 1, s
+        arrivals[t, 0] = int(u_arr[t] <= inst.lam)
+        q[t + 1, 0] = q[t, 0] - s + arrivals[t, 0]
+    return q, schedule, services, arrivals
+
+
+class TestFixedServerClosedForm:
+    @pytest.mark.parametrize(
+        "policy, server", [("oracle-best", 4), ("oracle-mw", 4), ("fixed:1", 1)]
+    )
+    @pytest.mark.parametrize("service_mode", ["shared", "independent"])
+    @pytest.mark.parametrize("horizon", [1, 2, 5000])
+    def test_equals_reference_recursion(self, monkeypatch, policy, server, service_mode, horizon):
+        inst = figure1_instance()  # lam 0.45: fixed:1 (mu 0.35) is unstable
+        # The closed form replaces the loop: no per-period decision is made.
+        monkeypatch.setattr(engine.Runner, "select_server", None)
+        for seed in range(10):
+            tr = run_single(inst, policy, horizon, seed, service_mode=service_mode)
+            want = _fixed_server_reference(inst, server, horizon, seed, service_mode)
+            for got, ref in zip((tr.q, tr.schedule, tr.services, tr.arrivals), want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert tr.final_state is None and tr.snapshots is None
+
+    def test_no_embedding_built(self, monkeypatch):
+        from clqsim import model
+
+        def refuse(inst):
+            raise AssertionError("single-queue embedding built")
+
+        monkeypatch.setattr(model, "single_to_network", refuse)
+        inst = figure1_instance()
+        for policy in ("ucb", "mw-ucb", "oracle-best", "fixed:2", "round-robin"):
+            run_single(inst, policy, 200, 0)
+        monkeypatch.undo()
+        assert model.as_network(inst) is model.as_network(inst)
+
+
 class TestRunNetwork:
     def test_single_server_network_replay(self):
         inst = NetworkInstance(

@@ -365,3 +365,31 @@ class TestSeriesCsv:
             rows = list(csv.reader(fh))
         for r in rows[1:]:
             assert r[4] == "" and r[5] == "" and r[6] == ""
+
+    @pytest.mark.parametrize(
+        "epsilon, include_delta, with_bench", [(0.1, True, True), (None, False, False)]
+    )
+    def test_bytes_equal_row_loop(self, tmp_path, epsilon, include_delta, with_bench):
+        # Reference: one row at a time, every float through repr.
+        inst = figure1_instance()
+        series = time_averaged_series(
+            [run_single(inst, "ucb", 300, s) for s in range(3)], epsilon, include_delta
+        )
+        bench = time_averaged_series([run_single(inst, "oracle-best", 300, s) for s in range(3)])
+        bench = bench if with_bench else None
+        path = tmp_path / "series.csv"
+        series_to_csv(series, str(path), benchmark=bench)
+        adjusted = series.avg_queue_mean - (0.0 if bench is None else bench.avg_queue_mean)
+        cols = (
+            series.avg_queue_mean,
+            series.avg_queue_se,
+            np.maximum.accumulate(adjusted),
+            series.sar_mean,
+            series.sar_se,
+            series.delta_mean,
+        )
+        want = "T,avg_queue_mean,avg_queue_se,clq_running,sar_mean,sar_se,delta_mean\r\n"
+        for i in range(series.horizon):
+            vals = ["" if col is None else repr(float(col[i])) for col in cols]
+            want += f"{i + 1}," + ",".join(vals) + "\r\n"
+        assert path.read_bytes() == want.encode()

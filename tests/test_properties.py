@@ -20,7 +20,11 @@ from clqsim.model import (
     validate_instance,
 )
 from clqsim.policies import (
+    PolicyHandle,
     PolicyState,
+    Runner,
+    backpressure_select,
+    feasible_rows,
     feasible_schedules,
     lcb_transition,
     maxweight_select,
@@ -293,3 +297,80 @@ class TestOraclePurity:
                 inst.schedule_table,
             )
             assert tuple(tr.schedule[t]) == want
+
+
+def _tallies(k):
+    """(count, successes) per server with successes <= count, untried servers
+    and repeated pairs, so exact index ties occur."""
+    pair = st.integers(0, 12).flatmap(lambda c: st.tuples(st.just(c), st.integers(0, c)))
+    return st.lists(st.one_of(pair, st.just((0, 0)), st.just((4, 2))), min_size=k, max_size=k)
+
+
+_NETWORKS = [
+    random_with_slackness(3, 6, 0.1, 7, "multi"),
+    random_with_slackness(2, 4, 0.1, 3, "network"),
+    random_with_slackness(3, 5, 0.1, 11, "network"),
+    tandem_instance(3, (0.8, 0.7, 0.6), 0.4),
+]
+
+
+def _queues(inst, top=9):
+    return st.lists(st.integers(0, top), min_size=inst.n, max_size=inst.n)
+
+
+class TestBoundSelectors:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(_tallies), st.integers(1, 10_000))
+    def test_ucb_server_equals_ucb_select(self, tallies, t):
+        k = len(tallies)
+        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(k, 0.3, (0.5,) * k))
+        state = runner.state
+        state.counts[:] = [c for c, _ in tallies]
+        state.succ[:] = [s for _, s in tallies]
+        ref = PolicyState(k=k, n=1, t=t, counts=list(state.counts), succ=list(state.succ))
+        assert runner.select_server(3, t) == ucb_select(ref, 3)
+        assert state.t == t
+
+    @pytest.mark.parametrize(
+        "counts, succ, t, want",
+        [
+            ([0, 0, 0], [0, 0, 0], 1, 0),  # all untried
+            ([50, 0, 0], [10, 0, 0], 9, 1),  # first untried server
+            ([1, 1, 0], [1, 1, 0], 2, 0),  # clamped tie at 1.0
+            ([400, 100, 100], [40, 55, 55], 100, 1),  # exact tie below the clamp
+        ],
+    )
+    def test_ucb_server_ties(self, counts, succ, t, want):
+        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(3, 0.3, (0.5,) * 3))
+        runner.state.counts[:], runner.state.succ[:] = counts, succ
+        ref = PolicyState(k=3, n=1, t=t, counts=list(counts), succ=list(succ))
+        assert runner.select_server(1, t) == ucb_select(ref, 1) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_NETWORKS), st.integers(1, 5000), st.data())
+    def test_bp_ucb_equals_reference(self, inst, t, data):
+        q = data.draw(_queues(inst))
+        runner = Runner(PolicyHandle.parse("bp-ucb"), inst)
+        state = runner.state
+        for srv, (c, s) in enumerate(data.draw(_tallies(inst.k))):
+            state.counts[srv], state.succ[srv] = c, s
+            state.trans[srv] = [data.draw(st.integers(0, s))] + [0] * (inst.n - 1)
+        r_low = [
+            [lcb_transition(r / c if c else 0.0, c, t) for r in row]
+            for row, c in zip(state.trans, state.counts)
+        ]
+        mu_bar = [ucb_index(s / c if c else 0.0, c, t) for s, c in zip(state.succ, state.counts)]
+        want = backpressure_select(q, mu_bar, r_low, inst.schedule_table)
+        assert runner.select_schedule(q, t) == want
+
+
+class TestFeasibleMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_NETWORKS), st.data())
+    def test_memo_equals_scan(self, inst, data):
+        table = inst.schedule_table
+        q = data.draw(_queues(inst))
+        rows = feasible_rows(table, q)
+        assert [sigma for sigma, _ in rows] == feasible_schedules(table, q)
+        assert all(servers == table.servers[table.row[sigma]] for sigma, servers in rows)
+        assert feasible_rows(table, q) is rows  # a second lookup hits the memo
