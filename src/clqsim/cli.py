@@ -217,7 +217,7 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, ep
     """Fan (member, policy, seed) jobs over a process pool and aggregate.
 
     eps, the SaR slackness, defaults to cfg.epsilon; commands pass the one
-    _run_plan resolved.  Per-seed results are combined in sorted order so
+    _run_epsilon resolved.  Per-seed results are combined in sorted order so
     the aggregate floats never depend on worker scheduling.
     """
     if write_traces:
@@ -236,20 +236,24 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, ep
     }
 
 
-def _run_plan(cfg: ExperimentConfig, instances) -> tuple[list[str], float | None]:
-    """Policies to run (the configured ones, then the benchmark) and the
-    slackness: cfg.epsilon, else the instances' smallest positive one;
-    None unless positive."""
+def _run_policies(cfg: ExperimentConfig) -> list[str]:
+    """Policies a command runs: the configured ones, then the benchmark."""
     policies = list(cfg.policies)
     if cfg.benchmark and cfg.benchmark not in policies:
         policies.append(cfg.benchmark)
+    return policies
+
+
+def _run_epsilon(cfg: ExperimentConfig, instances) -> float | None:
+    """cfg.epsilon, else the instances' smallest positive slackness; None
+    unless positive."""
     eps = cfg.epsilon
     if eps is None:
         try:
             eps = min((e for e in map(slackness_of, instances) if e > 0), default=None)
         except Exception:
             eps = None
-    return policies, eps if eps is not None and eps > 0 else None
+    return eps if eps is not None and eps > 0 else None
 
 
 def cmd_slackness(args) -> int:
@@ -281,7 +285,7 @@ def cmd_simulate(args) -> int:
     instances = resolve_instances(cfg.instance)
     if len(instances) != 1:
         raise ConfigError("simulate expects a single instance; use clq for families")
-    policies, eps = _run_plan(cfg, instances)
+    policies, eps = _run_policies(cfg), _run_epsilon(cfg, instances)
     series = run_batch(cfg, instances, policies, cfg.write_traces, eps)
     os.makedirs(cfg.out_dir, exist_ok=True)
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
@@ -320,7 +324,7 @@ def cmd_simulate(args) -> int:
 def cmd_clq(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
-    policies, eps = _run_plan(cfg, instances)
+    policies, eps = _run_policies(cfg), _run_epsilon(cfg, instances)
     series = run_batch(cfg, instances, policies, False, eps)
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
     if len(instances) > 1:
@@ -425,7 +429,7 @@ def _verify_job(args):
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
-    jobs = _batch_jobs(cfg, instances, cfg.policies, cfg.write_traces)
+    jobs = _batch_jobs(cfg, instances, _run_policies(cfg), cfg.write_traces)
     failures = []
     checked = 0
     for job_failures, job_checks in _fan_out(_verify_job, jobs):

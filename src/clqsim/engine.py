@@ -8,7 +8,6 @@ policies is automatic.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -433,102 +432,46 @@ def _masks(events: np.ndarray) -> list[int]:
     return masks
 
 
+def trace_csv_lines(trace: Trace) -> list[str]:
+    """The trace CSV format: a header, then per period t the start-of-period
+    queue lengths q_i, the schedule/arrival/service bitmasks (_masks) and
+    "srv>dest;..." per successful service (empty on exit-only systems)."""
+    h, n = trace.horizon, trace.q.shape[1]
+    header = ["t", *(f"q_{i}" for i in range(n)), "schedule", "arrivals", "services", "transitions"]
+    trans = [""] * h
+    if trace.targets is not None:
+        rows, srvs = np.nonzero(trace.services)
+        for r, srv, dest in zip(rows.tolist(), srvs.tolist(), trace.targets[rows, srvs].tolist()):
+            trans[r] += f";{srv}>{dest}" if trans[r] else f"{srv}>{dest}"
+    masks = [_masks(e) for e in (trace.schedule, trace.arrivals, trace.services)]
+    cols = [range(1, h + 1), *trace.q[:h].T.tolist(), *masks, trans]
+    return [",".join(header)] + [",".join(map(str, row)) for row in zip(*cols)]
+
+
 def trace_to_csv(trace: Trace, path: str) -> None:
-    """Write the per-period event log; q columns are start-of-period."""
-    n = trace.q.shape[1]
-    header = ["t"] + [f"q_{i}" for i in range(n)] + [
-        "schedule",
-        "arrivals",
-        "services",
-        "transitions",
-    ]
-    q_rows = trace.q[: trace.horizon].tolist()
-    sched, arr, svc = (_masks(e) for e in (trace.schedule, trace.arrivals, trace.services))
+    """Write trace_csv_lines(trace) with CRLF line ends."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t in range(trace.horizon):
-            if trace.targets is None:
-                trans = ""
-            else:
-                pairs = [
-                    f"{srv}>{trace.targets[t, srv]}"
-                    for srv in np.nonzero(trace.services[t])[0]
-                ]
-                trans = ";".join(pairs)
-            w.writerow([t + 1] + q_rows[t] + [sched[t], arr[t], svc[t], trans])
-
-
-_CSV_FIELDS = ("queue vector", "schedule mask", "arrival mask", "service mask", "transitions")
+        fh.write("\r\n".join(trace_csv_lines(trace)) + "\r\n")
 
 
 def replay_csv_error(path: str, trace: Trace) -> str | None:
-    """Replay a trace CSV row by row and compare it with trace; None if all agree.
-
-    The file must hold exactly trace.horizon rows, start from the empty
-    queue, replay on its own events, and match the trace's queue vector,
-    schedule/arrival/service bitmasks and transitions on every row.
-    """
-    net = as_network(trace.instance)
-    n, k, owner = net.n, net.k, net.server_queue
+    """Compare a trace CSV, read with universal newlines, line by line with
+    trace_csv_lines(trace); None if equal.  replay_error vouches that the
+    re-run trace replays, so a file equal to its rendering replays too."""
+    want = trace_csv_lines(trace)
     with open(path) as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["t"]:
+        got = fh.read().splitlines()
+    if not got or got[0] != want[0]:
         return "missing header"
-    if len(rows) < 2:
+    if len(got) < 2:
         return "no data rows"
-    if len(rows) - 1 != trace.horizon:
-        return f"{len(rows) - 1} data rows for horizon {trace.horizon}"
-    want_q = trace.q[: trace.horizon].tolist()
-    masks = [_masks(e) for e in (trace.schedule, trace.arrivals, trace.services)]
-    want_targets = None if trace.targets is None else trace.targets.tolist()
-    prev_q = None
-    prev_delta = None
-    for line, row in enumerate(rows[1:], start=2):
-        try:
-            qv = [int(v) for v in row[1 : 1 + n]]
-            sched = int(row[1 + n])
-            arr = int(row[2 + n])
-            svc = int(row[3 + n])
-            moved = {}
-            if row[4 + n]:
-                for pair in row[4 + n].split(";"):
-                    srv_s, dest_s = pair.split(">")
-                    dest = int(dest_s)
-                    if not 0 <= dest <= n:
-                        raise ValueError(dest)
-                    moved[int(srv_s)] = dest
-        except (ValueError, IndexError):
-            return f"line {line}: malformed row"
-        if prev_q is None:
-            if any(qv):
-                return f"line {line}: queue vector {qv} is not the empty start"
-        else:
-            expect = list(prev_q)
-            for i in range(n):
-                expect[i] += prev_delta[i]
-            if expect != qv:
-                return f"line {line}: queue vector {qv} does not replay (expected {expect})"
-        delta = [0] * n
-        for i in range(n):
-            if arr >> i & 1:
-                delta[i] += 1
-        for srv in range(k):
-            if svc >> srv & 1:
-                if not sched >> srv & 1:
-                    return f"line {line}: service success on unscheduled server {srv}"
-                delta[owner[srv]] -= 1
-                dest = moved.get(srv)
-                if dest is not None and dest < n:
-                    delta[dest] += 1
-        t = line - 2
-        want_moved = {}
-        if want_targets is not None:
-            want_moved = {srv: want_targets[t][srv] for srv in range(k) if svc >> srv & 1}
-        got = (qv, sched, arr, svc, moved)
-        want = (want_q[t], masks[0][t], masks[1][t], masks[2][t], want_moved)
-        for name, a, b in zip(_CSV_FIELDS, got, want):
-            if a != b:
-                return f"line {line}: {name} {a} differs from the re-run ({b})"
-        prev_q, prev_delta = qv, delta
+    if len(got) != len(want):
+        return f"{len(got) - 1} data rows for horizon {trace.horizon}"
+    for line, (a, b) in enumerate(zip(got, want), start=1):
+        if a != b:
+            cells, ref = a.split(","), b.split(",")
+            if len(cells) != len(ref):
+                return f"line {line}: malformed row"
+            name, x, y = next(d for d in zip(want[0].split(","), cells, ref) if d[1] != d[2])
+            return f"line {line}: {name} {x!r} differs from the re-run ({y!r})"
     return None

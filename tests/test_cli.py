@@ -308,12 +308,55 @@ class TestVerify:
         trace = tmp_path / "out" / "trace_bp-ucb_2.csv"
         lines = trace.read_text().splitlines()
         parts = lines[30].split(",")
+        want = parts[-1]
         parts[-1] = "0>1>2"
         lines[30] = ",".join(parts)
         trace.write_text("\n".join(lines) + "\n")
         assert main(["verify", "-c", cfg]) == 3
         out = capsys.readouterr().out
-        assert "FAIL check=trace-file-replay policy=bp-ucb seed=2: line 31: malformed row" in out
+        assert (
+            "FAIL check=trace-file-replay policy=bp-ucb seed=2: "
+            f"line 31: transitions '0>1>2' differs from the re-run ('{want}')"
+        ) in out
+
+    @staticmethod
+    def _fails(capsys):
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+
+    def test_truncated_benchmark_trace_fails(self, tmp_path, fig1_file, capsys):
+        cfg = _config(tmp_path, benchmark="oracle-best", seeds={"base": 0, "count": 2}, horizon=300)
+        assert main(["simulate", "-c", cfg]) == 0
+        trace = tmp_path / "out" / "trace_oracle-best_0.csv"
+        trace.write_text("\n".join(trace.read_text().splitlines()[:100]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "-c", cfg]) == 3
+        assert self._fails(capsys) == [
+            "FAIL check=trace-file-replay policy=oracle-best seed=0: 99 data rows for horizon 300"
+        ]
+
+    @pytest.mark.parametrize(
+        "line, edit, detail",
+        [
+            (41, lambda row: row + ",junk", "line 41: malformed row"),
+            (
+                2,
+                lambda row: row.replace(",0,", ",00,", 1),
+                "line 2: q_0 '00' differs from the re-run ('0')",
+            ),
+            (1, lambda row: row.replace("q_0", "queue_0"), "missing header"),
+        ],
+        ids=["extra-cell", "zero-padded-q", "renamed-header"],
+    )
+    def test_edited_trace_line_fails(self, tmp_path, fig1_file, capsys, line, edit, detail):
+        cfg = _config(tmp_path, benchmark="oracle-best", seeds={"base": 0, "count": 2}, horizon=300)
+        assert main(["simulate", "-c", cfg]) == 0
+        trace = tmp_path / "out" / "trace_ucb_1.csv"
+        lines = trace.read_text().splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "-c", cfg]) == 3
+        assert self._fails(capsys) == [f"FAIL check=trace-file-replay policy=ucb seed=1: {detail}"]
 
     @staticmethod
     def _corrupt(path):

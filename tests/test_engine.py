@@ -1,4 +1,7 @@
 """Dynamics, determinism, replay, embeddings, and the coupled pair."""
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,11 @@ from clqsim.engine import (
     run_coupled_single,
     run_network,
     run_single,
+    trace_csv_lines,
     trace_to_csv,
     ucb_queue_paths,
 )
-from clqsim.instances import figure1_instance, tandem_instance
+from clqsim.instances import figure1_instance, random_with_slackness, tandem_instance
 from clqsim.model import (
     ArrivalModel,
     NetworkInstance,
@@ -340,11 +344,12 @@ class TestTraceCsv:
         trace_to_csv(tr, str(path))
         lines = path.read_text().splitlines()
         parts = lines[50].split(",")
+        want = parts[1]
         parts[1] = str(int(parts[1]) + 1)
         lines[50] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
         err = replay_csv_error(str(path), tr)
-        assert err is not None and "replay" in err
+        assert err == f"line 51: q_0 '{parts[1]}' differs from the re-run ('{want}')"
 
     def test_rejects_nonempty_start(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -352,7 +357,7 @@ class TestTraceCsv:
         rows += [f"{t},5,0,0,0," for t in range(1, 11)]
         path.write_text("\n".join(rows) + "\n")
         err = replay_csv_error(str(path), run_single(figure1_instance(), "ucb", 10, 0))
-        assert err is not None and err.startswith("line 2:") and "empty start" in err
+        assert err == "line 2: q_0 '5' differs from the re-run ('0')"
 
     def test_rejects_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -402,7 +407,77 @@ class TestTraceCsv:
         trace_to_csv(tr, str(path))
         lines = path.read_text().splitlines()
         parts = lines[40].split(",")
+        want = parts[-1]
         parts[-1] = cell
         lines[40] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        assert replay_csv_error(str(path), tr) == "line 41: malformed row"
+        err = replay_csv_error(str(path), tr)
+        assert err == f"line 41: transitions '{cell}' differs from the re-run ('{want}')"
+
+    def test_lf_line_ends_accepted(self, tmp_path):
+        tr = run_network(tandem_instance(2, (0.8, 0.6), 0.5), "bp-ucb", 50, 0)
+        path = tmp_path / "t.csv"
+        trace_to_csv(tr, str(path))
+        assert path.read_bytes().count(b"\r\n") == 51
+        path.write_text("\n".join(path.read_text().splitlines()) + "\n")
+        assert replay_csv_error(str(path), tr) is None
+
+
+def _reference_csv(trace) -> bytes:
+    """The trace CSV as the per-row csv.writer loop wrote it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    n = trace.q.shape[1]
+    w.writerow(
+        ["t"] + [f"q_{i}" for i in range(n)] + ["schedule", "arrivals", "services", "transitions"]
+    )
+    masks = []
+    for events in (trace.schedule, trace.arrivals, trace.services):
+        masks.append([sum(1 << int(c) for c in np.nonzero(row)[0]) for row in events])
+    for t in range(trace.horizon):
+        trans = ""
+        if trace.targets is not None:
+            pairs = [f"{srv}>{trace.targets[t, srv]}" for srv in np.nonzero(trace.services[t])[0]]
+            trans = ";".join(pairs)
+        w.writerow([t + 1] + trace.q[t].tolist() + [m[t] for m in masks] + [trans])
+    return buf.getvalue().encode()
+
+
+class TestTraceCsvBytes:
+    """trace_to_csv writes the bytes of the csv.writer row loop it replaced."""
+
+    POLICIES = (
+        "ucb", "mw-ucb", "bp-ucb", "oracle-best", "oracle-mw", "oracle-bp", "fixed:0", "round-robin"
+    )
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            figure1_instance(),
+            tandem_instance(3, (0.8, 0.7, 0.6), 0.4),
+            random_with_slackness(3, 6, 0.1, 7, "multi"),
+            random_with_slackness(2, 4, 0.1, 3, "network"),
+        ],
+        ids=["fig1", "tandem-3", "multi-3-6", "network-2-4"],
+    )
+    def test_equals_row_loop(self, tmp_path, inst):
+        path = tmp_path / "t.csv"
+        seen = set()
+        for policy in self.POLICIES:
+            for seed in (0, 1, 2):
+                for horizon in (1, 2, 500):
+                    tr = run(inst, policy, horizon, seed)
+                    trace_to_csv(tr, str(path))
+                    assert path.read_bytes() == _reference_csv(tr), (policy, seed, horizon)
+                    seen.update(line.rsplit(",", 1)[1] for line in trace_csv_lines(tr)[1:])
+        if not isinstance(inst, SingleQueueInstance) and not inst.exit_only:
+            assert "" in seen and any(";" in cell for cell in seen)
+
+    def test_masks_beyond_int64(self, tmp_path):
+        inst = SingleQueueInstance(70, 0.9, tuple(0.02 + 0.01 * (j % 5) for j in range(70)))
+        tr = run_single(inst, "round-robin", 300, 0)
+        assert tr.schedule[:, 63:].any()
+        path = tmp_path / "t.csv"
+        trace_to_csv(tr, str(path))
+        assert path.read_bytes() == _reference_csv(tr)
+        assert max(int(line.split(",")[2]) for line in trace_csv_lines(tr)[1:]) >= 2**63
