@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:
             _require_int("seeds entries", seed)
+            if seed < 0:
+                raise ConfigError(f"seeds must be non-negative, got {seed}")
         for name in self.policies + ([self.benchmark] if self.benchmark else []):
             try:
                 PolicyHandle.parse(name)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .model import (
     NetworkInstance,
@@ -24,6 +25,9 @@ from .policies import PolicyError, PolicyHandle, PolicyState, Runner
 
 STREAM_IDS = {"arrival": 0, "service": 1, "transition": 2, "policy": 3}
 LOCKSTEP_BLOCK = 1024  # seeds per block of ucb_queue_paths
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,48 @@ class RandomSource:
 
     def uniforms(self, *shape: int) -> np.ndarray:
         return self.generator().random(shape)
+
+
+@dataclass
+class _SeedWords(ISeedSequence):
+    """PCG64 seed words, computed ahead by seed_block_uniforms."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seed_block_uniforms(seeds, stream: str, *shape: int) -> np.ndarray:
+    """Row i is RandomSource(seeds[i], stream).uniforms(*shape), bit for bit.
+    Below 2**128 every seed's SeedSequence entropy is four 32-bit words and
+    the stream id, so the hash runs once per block in uint32 numpy arithmetic;
+    numpy's PCG64 makes every draw."""
+    seeds = [int(s) for s in seeds]
+    if any(s < 0 or s >> 128 for s in seeds):
+        raise ValueError("seeds must lie in [0, 2**128)")
+    sid = STREAM_IDS[stream].to_bytes(4, "little")
+    raw = b"".join(s.to_bytes(16, "little") + sid for s in seeds)
+    entropy = np.frombuffer(raw, dtype="<u4").reshape(-1, 5).T.astype(np.uint32)
+    h = _INIT_A
+
+    def hashmix(v, mult=_MULT_A):
+        nonlocal h
+        v, h = v ^ h, h * mult & 0xFFFFFFFF
+        v = v * h
+        return v ^ (v >> 16)
+
+    # Mix every pool word into every other, then the spawn-key word into each.
+    pool = [hashmix(e) for e in entropy[:4]] + [entropy[4]]
+    for src, dst in [(s, d) for s in range(5) for d in range(4) if s != d]:
+        r = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+        pool[dst] = r ^ (r >> 16)
+    h = _INIT_B  # generate_state(4, np.uint64): eight words, read as little-endian pairs
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    out = np.empty((len(seeds), *shape))
+    for words, row in zip(state.astype("<u4").view("<u8").astype(np.uint64), out):
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).random(shape, out=row)
+    return out
 
 
 @dataclass
@@ -241,7 +287,7 @@ def ucb_queue_paths(
     arithmetic (/, sqrt, +, min, first-index argmax) is correctly rounded
     in numpy as in the scalar loop.  Seeds run in blocks of
     LOCKSTEP_BLOCK, so working memory beyond the returned (S, horizon+1)
-    int64 array does not grow with the seed count.
+    int64 array does not grow with the seed count.  Seeds lie in [0, 2**128).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -260,11 +306,9 @@ def _ucb_block(instance, seeds, service_mode, paths):
     b, k = len(seeds), instance.k
     horizon = paths.shape[1] - 1
     mu = np.asarray(instance.mu, dtype=np.float64)
-    arrive = np.array(
-        [RandomSource(s, "arrival").uniforms(horizon) for s in seeds]
-    ) <= instance.lam
+    arrive = seed_block_uniforms(seeds, "arrival", horizon) <= instance.lam
     shape = (horizon,) if service_mode == "shared" else (horizon, k)
-    u_srv = np.array([RandomSource(s, "service").uniforms(*shape) for s in seeds])
+    u_srv = seed_block_uniforms(seeds, "service", *shape)
 
     counts = np.zeros((b, k), dtype=np.int64)
     succ = np.zeros((b, k), dtype=np.int64)

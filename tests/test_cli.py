@@ -496,6 +496,9 @@ class TestConfigParsing:
             ("seeds", {"base": 0, "count": "3"}),
             ("seeds", {"start": 5, "count": 3}),
             ("seeds", 3),
+            ("seeds", [-1]),
+            ("seeds", [0, 4, -3]),
+            ("seeds", {"base": -2, "count": 5}),
         ],
     )
     def test_rejects_bad_integer_fields(self, key, value):
@@ -517,6 +520,8 @@ class TestConfigParsing:
             {"coupling_seeds": "200"},
             {"coupling_seeds": -5},
             {"seeds": [0.7, 1.9]},
+            {"seeds": [-1]},
+            {"seeds": {"base": -1, "count": 2}},
             {"snapshot_stride": "5"},
         ],
     )

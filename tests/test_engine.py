@@ -4,9 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clqsim import engine
 from clqsim.engine import (
+    STREAM_IDS,
     RandomSource,
     replay_csv_error,
     replay_error,
@@ -14,6 +17,7 @@ from clqsim.engine import (
     run_coupled_single,
     run_network,
     run_single,
+    seed_block_uniforms,
     trace_csv_lines,
     trace_to_csv,
     ucb_queue_paths,
@@ -44,6 +48,41 @@ class TestRandomSource:
         short = RandomSource(3, "service").uniforms(10)
         long = RandomSource(3, "service").uniforms(1000)
         assert np.array_equal(short, long[:10])
+
+
+class TestSeedBlockUniforms:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**127, 2**128 - 1]
+
+    @pytest.mark.parametrize("stream", sorted(STREAM_IDS))
+    @pytest.mark.parametrize("shape", [(9,), (9, 3)])
+    def test_matches_random_source(self, stream, shape):
+        got = seed_block_uniforms(self.SEEDS, stream, *shape)
+        assert got.shape == (len(self.SEEDS), *shape) and got.dtype == np.float64
+        for row, seed in zip(got, self.SEEDS):
+            assert np.array_equal(row, RandomSource(seed, stream).uniforms(*shape)), seed
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=4),
+        st.sampled_from(sorted(STREAM_IDS)),
+    )
+    def test_any_seed_below_2_128(self, seeds, stream):
+        got = seed_block_uniforms(seeds, stream, 4, 2)
+        for row, seed in zip(got, seeds):
+            assert np.array_equal(row, RandomSource(seed, stream).uniforms(4, 2)), seed
+
+    def test_numpy_integer_seeds(self):
+        got = seed_block_uniforms(np.arange(3), "service", 6)
+        assert np.array_equal(got, seed_block_uniforms([0, 1, 2], "service", 6))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2)])
+    def test_no_seeds(self, shape):
+        assert seed_block_uniforms([], "arrival", *shape).shape == (0, *shape)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
+    def test_seed_domain(self, seed):
+        with pytest.raises(ValueError, match=r"2\*\*128"):
+            seed_block_uniforms([0, seed], "arrival", 3)
 
 
 class TestRunSingle:
@@ -320,6 +359,17 @@ class TestUcbQueuePaths:
             ref = run_single(inst, "ucb", 5, seed, snapshot_stride=0, service_mode="independent")
             assert np.array_equal(paths[seed], ref.q[:, 0])
 
+    @pytest.mark.parametrize("mode", ["shared", "independent"])
+    def test_block_straddles_2_32(self, mode, monkeypatch):
+        # One block of 64 seeds below 2**32 and 64 from it on, then a short one.
+        monkeypatch.setattr(engine, "LOCKSTEP_BLOCK", 128)
+        inst = SingleQueueInstance(2, 0.5, (0.3, 0.7))
+        seeds = range(2**32 - 64, 2**32 + 80)
+        paths = ucb_queue_paths(inst, 20, seeds, mode)
+        for row, seed in zip(paths, seeds):
+            ref = run_single(inst, "ucb", 20, seed, snapshot_stride=0, service_mode=mode)
+            assert np.array_equal(row, ref.q[:, 0]), seed
+
     def test_no_seeds(self):
         assert ucb_queue_paths(figure1_instance(), 5, []).shape == (0, 6)
 
@@ -328,6 +378,8 @@ class TestUcbQueuePaths:
             ucb_queue_paths(figure1_instance(), 0, [0])
         with pytest.raises(ValueError):
             ucb_queue_paths(figure1_instance(), 5, [0], "per-server")
+        with pytest.raises(ValueError):
+            ucb_queue_paths(figure1_instance(), 5, [0, -1])
 
 
 class TestTraceCsv:
