@@ -56,9 +56,10 @@ class ConfigError(ValueError):
     """Bad experiment configuration."""
 
 
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _require_number(name: str, value, kind=numbers.Integral) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclasses.dataclass
@@ -79,7 +80,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("horizon", "coupling_seeds", "snapshot_stride"):
-            _require_int(name, getattr(self, name))
+            _require_number(name, getattr(self, name))
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.coupling_seeds < 0:
@@ -89,7 +90,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:
-            _require_int("seeds entries", seed)
+            _require_number("seeds entries", seed)
             if seed < 0:
                 raise ConfigError(f"seeds must be non-negative, got {seed}")
         for name in self.policies + ([self.benchmark] if self.benchmark else []):
@@ -114,8 +115,8 @@ class ExperimentConfig:
             if set(seeds) - {"base", "count"}:
                 raise ConfigError(f"seeds takes only base and count, got {sorted(seeds)}")
             base, count = seeds.get("base", 0), seeds.get("count", 1)
-            _require_int("seeds base", base)
-            _require_int("seeds count", count)
+            _require_number("seeds base", base)
+            _require_number("seeds count", count)
             doc["seeds"] = list(range(base, base + count))
         elif not isinstance(seeds, list):
             raise ConfigError(f"seeds must be a list or {{base, count}}, got {seeds!r}")
@@ -141,6 +142,15 @@ _FAMILIES = ("figure1", "lower-bound", "tandem", "random-single", "random-multi"
 def build_family(spec: dict):
     """Materialize a family spec dict into a list of instances."""
     family = spec.get("family")
+    mu = spec.get("mu", [])
+    if not isinstance(mu, (list, tuple)):
+        raise ConfigError(f"mu must be a list, got {mu!r}")
+    checks = [(f, spec[f], numbers.Integral) for f in ("n", "k", "seed") if f in spec]
+    checks += [(f, spec[f], numbers.Real) for f in ("epsilon", "lambda0") if f in spec]
+    for name, value, kind in checks + [("mu entries", v, numbers.Real) for v in mu]:
+        _require_number(name, value, kind)
+    if spec.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be non-negative, got {spec['seed']}")
     if family == "figure1":
         return [figure1_instance()]
     if family == "lower-bound":

@@ -167,14 +167,15 @@ def schedule_weight(q, schedule, instance, networked: bool) -> float:
     return _weight(as_network(instance), servers, q, networked)
 
 
-def _weight(net, servers, q, networked: bool) -> float:
+def _weight(net, servers, q, networked: bool, mu=None) -> float:
+    mu = net.mu if mu is None else mu
     w = 0.0
     for srv in servers:
-        w += net.mu[srv] * q[net.server_queue[srv]]
+        w += mu[srv] * q[net.server_queue[srv]]
         if networked:
             row = net.transitions[srv]
             for dest in net.destinations[srv]:
-                w -= net.mu[srv] * row[dest] * q[dest]
+                w -= mu[srv] * row[dest] * q[dest]
     return w
 
 
@@ -204,7 +205,8 @@ def delta_loss(q, chosen, instance, networked: bool) -> float:
 
 
 def delta_series(trace: Trace, instance=None, networked: bool | None = None) -> np.ndarray:
-    """Per-period delta_loss along a trace."""
+    """Per-period delta_loss along a trace, bit for bit; networks take
+    whole-horizon columns, in O(horizon) memory per schedule."""
     inst = trace.instance if instance is None else instance
     net = as_network(inst)
     if networked is None:
@@ -212,23 +214,24 @@ def delta_series(trace: Trace, instance=None, networked: bool | None = None) -> 
     h = trace.horizon
     mu = np.asarray(net.mu, dtype=np.float64)
     if net.n == 1 and not networked and structure_constants(net).m_sigma <= 1:
-        # One queue, one server at a time: every singleton is feasible
-        # once q >= 1, so the comparator weight is the best service rate.
+        # One queue, one server at a time: every schedule fits once q >= 1, so
+        # the comparator weight is the best rate of a server some schedule uses.
+        top = max((mu[s] for servers in net.schedule_table.servers for s in servers), default=0.0)
         rate = trace.schedule[:h].astype(np.float64) @ mu
         busy = trace.q[:h, 0] >= 1
-        return (mu.max() - rate) * busy
-    out = np.zeros(h)
-    best: dict[tuple[int, ...], float] = {}
-    for t, (qv, chosen) in enumerate(zip(trace.q[:h].tolist(), trace.schedule[:h].tolist())):
-        qmax = max(qv)
-        if qmax == 0:
-            continue
-        q_scaled = [v / qmax for v in qv]
-        key = tuple(qv)
-        if key not in best:
-            best[key] = _best_weight(net, qv, q_scaled, networked)
-        out[t] = best[key] - schedule_weight(q_scaled, chosen, net, networked)
-    return out
+        return (top - rate) * busy
+    # _weight on whole columns repeats its scalar operations in their order.
+    q = trace.q[:h]
+    qmax = q.max(axis=1)
+    cols = (q / np.maximum(qmax, 1)[:, None]).T  # int / int rounds once, as v / qmax does
+    best = np.full(h, -math.inf)
+    for servers, need in zip(net.schedule_table.servers, net.schedule_table.demand):
+        fits = np.logical_and.reduce([q[:, i] >= c for i, c in need], initial=True)
+        best = np.where(fits, np.maximum(best, _weight(net, servers, cols, networked)), best)
+    # An idle server's rate is 0 in that period, so its terms add exact zeros.
+    rates = [m * on for m, on in zip(net.mu, trace.schedule[:h].T)]
+    chosen = _weight(net, range(net.k), cols, networked, rates)
+    return np.where(qmax > 0, best - chosen, 0.0)
 
 
 def sar_multi(

@@ -5,6 +5,7 @@ means are exact ratios, never drifting running averages.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -266,12 +267,16 @@ class Runner:
             return
         self.table = table = inst.schedule_table
         r_true = [[mu[srv] * inst.transitions[srv][i] for i in range(n)] for srv in range(k)]
+        # True rates are fixed, so an oracle's choice depends on q alone: it is
+        # memoised on tuple(q), in one dict per run.
+        mw = functools.cache(lambda q: maxweight_select(q, mu, table))
+        bp = functools.cache(lambda q: backpressure_select(q, mu, r_true, table))
         self._pick = {
             "ucb": self._maxweight_ucb,
             "mw_ucb": self._maxweight_ucb,
             "bp_ucb": self._backpressure_ucb,
-            "oracle_mw": lambda q, t: maxweight_select(q, mu, table),
-            "oracle_bp": lambda q, t: backpressure_select(q, mu, r_true, table),
+            "oracle_mw": lambda q, t: mw(tuple(q)),
+            "oracle_bp": lambda q, t: bp(tuple(q)),
             "oracle_best": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
             "fixed": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
             "round_robin": self._next_schedule,

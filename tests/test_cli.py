@@ -456,6 +456,51 @@ class TestMakeInstance:
         rc = main(["make-instance", "lower-bound", "--out", str(out), "--k", "3", "--epsilon", "0.9"])
         assert rc == 1
 
+    def test_negative_seed_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        argv = ["--out", str(out), "--n", "2", "--k", "3", "--epsilon", "0.1", "--seed", "-1"]
+        assert main(["make-instance", "random-network", *argv]) == 1
+        assert capsys.readouterr().out == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+
+_NET = {"family": "random-network", "n": 2, "k": 3, "epsilon": 0.1, "seed": 7}
+_TANDEM = {"family": "tandem", "n": 2, "mu": [0.8, 0.6], "lambda0": 0.5}
+
+
+class TestFamilyFields:
+    """Family spec fields are checked, never truncated or coerced."""
+
+    @pytest.mark.parametrize("spec", [_NET, _TANDEM, dict(_NET, epsilon=1 / 8, seed=0)])
+    def test_well_typed_specs_run(self, tmp_path, spec):
+        assert main(["simulate", "-c", _config(tmp_path, instance=spec, policies=["mw-ucb"])]) == 0
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (dict(_NET, k=3.6), "k"),
+            (dict(_NET, seed=7.9), "seed"),
+            (dict(_NET, k="3"), "k"),
+            (dict(_NET, seed=True), "seed"),
+            (dict(_NET, seed=-1), "seed"),
+            (dict(_NET, n=2.0), "n"),
+            (dict(_NET, epsilon="0.1"), "epsilon"),
+            (dict(_NET, epsilon=True), "epsilon"),
+            ({"family": "lower-bound", "k": 3.0, "epsilon": 0.1}, "k"),
+            (dict(_TANDEM, mu=[0.8, "0.6"]), "mu"),
+            (dict(_TANDEM, mu=[0.8, False]), "mu"),
+            (dict(_TANDEM, mu=0.8), "mu"),
+            (dict(_TANDEM, lambda0="0.5"), "lambda0"),
+            (dict(_TANDEM, lambda0=False), "lambda0"),
+        ],
+    )
+    def test_bad_field_exit_one(self, tmp_path, capsys, spec, field):
+        cfg = _config(tmp_path, instance=spec, policies=["mw-ucb"])
+        assert main(["simulate", "-c", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {field}") and out.count("\n") == 1
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestConfigParsing:
     def test_seed_range_expansion(self, tmp_path, fig1_file):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from clqsim.engine import Trace, run_network, run_single
+from clqsim.engine import Trace, run, run_network, run_single
 from clqsim.instances import figure1_instance, tandem_instance
 from clqsim.metrics import (
     EmptyInput,
@@ -32,6 +32,8 @@ from clqsim.model import (
     SingleQueueInstance,
     single_to_network,
 )
+from test_trace_digests import POLICIES as DIGEST_POLICIES, SEEDS as DIGEST_SEEDS
+from test_trace_digests import _instances as digest_instances
 
 
 def _hand_trace(q_rows, instance, schedule=None):
@@ -224,6 +226,30 @@ class TestDeltaSeries:
         d = delta_series(tr)
         assert d[0] == 0.0  # starts empty
         assert d[1:] == pytest.approx(np.full(10, 0.6 - 0.5))
+
+
+DIGEST_INSTANCES = digest_instances()
+
+
+def delta_by_period(tr, networked):
+    """delta_loss, the one-period reference, at every period of a trace."""
+    return np.array(
+        [delta_loss(tr.q[t].tolist(), tr.schedule[t].tolist(), tr.instance, networked)
+         for t in range(tr.horizon)]
+    )
+
+
+class TestDeltaSeriesBitwise:
+    """The whole-horizon delta pass equals delta_loss period by period, bit for bit."""
+
+    @pytest.mark.parametrize("policy", DIGEST_POLICIES)
+    @pytest.mark.parametrize("label", sorted(DIGEST_INSTANCES))
+    def test_digest_matrix(self, label, policy):
+        for seed in DIGEST_SEEDS:
+            tr = run(DIGEST_INSTANCES[label], policy, 500, seed)
+            for networked in (False, True):
+                want = delta_by_period(tr, networked).tobytes()
+                assert delta_series(tr, networked=networked).tobytes() == want
 
 
 class TestSarMulti:

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from clqsim.engine import run_network
+from clqsim.instances import random_with_slackness, tandem_instance
 from clqsim.model import (
     ArrivalModel,
     NetworkInstance,
@@ -222,3 +224,73 @@ class TestRunner:
         )
         r = Runner(PolicyHandle.parse("oracle-bp"), net)
         assert r.select_schedule([1, 5], 1) == (0, 1)
+
+
+def _direct_oracle(policy, inst):
+    """The oracle's selector called without the Runner, on true rates."""
+    table = inst.schedule_table
+    if policy == "oracle-mw":
+        return lambda q: maxweight_select(q, inst.mu, table)
+    r_true = [[m * p for p in row[: inst.n]] for m, row in zip(inst.mu, inst.transitions)]
+    return lambda q: backpressure_select(q, inst.mu, r_true, table)
+
+
+def _mirrored_pair():
+    """Two one-server-at-a-time instances with swapped rates: at q = (1, 1)
+    their MaxWeight and BackPressure choices differ."""
+    def build(mu):
+        return NetworkInstance(
+            n=2,
+            k=2,
+            arrivals=ArrivalModel(support=((1, 1), (0, 0)), probs=(0.3, 0.7)),
+            mu=mu,
+            schedules=ScheduleSet(schedules=((1, 0), (0, 1), (0, 0))),
+            server_queue=(0, 1),
+            transitions=NetworkInstance.exit_only_transitions(2, 2),
+        )
+
+    return build((0.9, 0.5)), build((0.5, 0.9))
+
+
+@pytest.mark.parametrize("policy", ["oracle-mw", "oracle-bp"])
+class TestOracleMemo:
+    """Oracle choices are memoised on q per run; each must be the direct selector's."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            tandem_instance(3, (0.8, 0.7, 0.6), 0.4),
+            random_with_slackness(2, 4, 0.1, 3, "network"),
+            random_with_slackness(3, 6, 0.1, 7, "multi"),
+        ],
+        ids=["tandem-3", "network-2-4", "multi-3-6"],
+    )
+    def test_every_period_is_direct_select(self, policy, inst):
+        tr = run_network(inst, policy, 1000, 0)
+        select = _direct_oracle(policy, inst)
+        for t in range(tr.horizon):
+            assert tuple(tr.schedule[t].tolist()) == select(tr.q[t].tolist())
+
+    def test_equal_queues_on_two_instances(self, policy):
+        a, b = _mirrored_pair()
+        q = [1, 1]
+        first = Runner(PolicyHandle.parse(policy), a)
+        assert first.select_schedule(q, 1) == (1, 0)
+        assert Runner(PolicyHandle.parse(policy), b).select_schedule(q, 1) == (0, 1)
+        assert Runner(PolicyHandle.parse(policy), a).select_schedule(q, 1) == (1, 0)
+        q[0] = 0  # the key is the queue vector's value, not the list
+        assert first.select_schedule(q, 2) == (0, 1)
+
+    def test_equal_queue_paths_on_two_instances(self, policy):
+        chosen = []
+        for inst in _mirrored_pair():
+            tr = run_network(inst, policy, 400, 1)
+            select = _direct_oracle(policy, inst)
+            seen = {}
+            for t in range(tr.horizon):
+                q = tuple(tr.q[t].tolist())
+                seen[q] = tuple(tr.schedule[t].tolist())
+                assert seen[q] == select(q)
+            chosen.append(seen)
+        # Both runs visit queue vectors on which the two oracles disagree.
+        assert any(chosen[0][q] != chosen[1][q] for q in chosen[0].keys() & chosen[1].keys())

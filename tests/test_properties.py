@@ -251,6 +251,22 @@ class TestMetricInvariants:
         tr = run_single(inst, "ucb", 100, seed)
         assert np.array_equal(delta_series(tr), delta_series(tr, networked=True))
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        generated_networks(),
+        st.sampled_from(["mw-ucb", "bp-ucb", "oracle-bp", "round-robin"]),
+        st.integers(0, 30),
+    )
+    def test_delta_series_is_delta_loss_bitwise(self, inst, policy, seed):
+        tr = run_network(inst, policy, 150, seed)
+        for networked in (False, True):
+            want = [
+                delta_loss(tr.q[t].tolist(), tr.schedule[t].tolist(), inst, networked)
+                for t in range(150)
+            ]
+            got = delta_series(tr, networked=networked)
+            assert got.tobytes() == np.array(want).tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(generated_networks(), st.lists(st.integers(0, 8), min_size=1, max_size=3))
     def test_delta_loss_of_zero_schedule(self, inst, q):
