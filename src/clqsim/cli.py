@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 import platform
@@ -62,6 +63,16 @@ def _require_number(name: str, value, kind=numbers.Integral) -> None:
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
+# (name, accepted types, noun) of the config fields checked by type alone.
+_TYPED_FIELDS = (
+    ("instance", (str, dict), "a string or an object"),
+    ("benchmark", (str, type(None)), "a string or null"),
+    ("include_delta", bool, "true or false"),
+    ("write_traces", bool, "true or false"),
+    ("out_dir", str, "a string"),
+)
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """One batch run: an instance source fanned over policies and seeds."""
@@ -79,6 +90,24 @@ class ExperimentConfig:
     coupling_seeds: int = 10_000
 
     def __post_init__(self) -> None:
+        for name, kinds, noun in _TYPED_FIELDS:
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(f"{name} must be {noun}, got {getattr(self, name)!r}")
+        policies = self.policies
+        if not (isinstance(policies, list) and policies and all(isinstance(p, str) for p in policies)):
+            raise ConfigError(f"policies must be a non-empty list of strings, got {policies!r}")
+        for name in policies + ([] if self.benchmark is None else [self.benchmark]):
+            try:
+                PolicyHandle.parse(name)
+            except PolicyError as exc:
+                raise ConfigError(str(exc)) from exc
+        repeated = [p for i, p in enumerate(policies) if p in policies[:i]]
+        if repeated:
+            raise ConfigError(f"policies lists {repeated[0]!r} more than once")
+        if self.epsilon is not None:
+            _require_number("epsilon", self.epsilon, numbers.Real)
+            if not 0 < self.epsilon < math.inf:
+                raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         for name in ("horizon", "coupling_seeds", "snapshot_stride"):
             _require_number(name, getattr(self, name))
         if self.horizon < 1:
@@ -93,13 +122,6 @@ class ExperimentConfig:
             _require_number("seeds entries", seed)
             if seed < 0:
                 raise ConfigError(f"seeds must be non-negative, got {seed}")
-        for name in self.policies + ([self.benchmark] if self.benchmark else []):
-            try:
-                PolicyHandle.parse(name)
-            except PolicyError as exc:
-                raise ConfigError(str(exc)) from exc
-        if not self.policies:
-            raise ConfigError("need at least one policy")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -124,7 +146,7 @@ class ExperimentConfig:
         if isinstance(inst, str) and not os.path.isabs(inst):
             doc["instance"] = os.path.join(base_dir, inst)
         out = doc.get("out_dir", "results")
-        if not os.path.isabs(out):
+        if isinstance(out, str) and not os.path.isabs(out):
             doc["out_dir"] = os.path.normpath(os.path.join(base_dir, out))
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(doc) - known
@@ -194,9 +216,8 @@ def _batch_jobs(cfg: ExperimentConfig, instances, policies, traces: bool) -> lis
     """(instance, policy, seed, horizon, trace path or None when traces is off)
     of each (member, policy, seed), in job order."""
     return [
-        (inst, policy, seed, cfg.horizon,
-         _trace_path(cfg.out_dir, policy, seed, m, len(instances)) if traces else None)
-        for m, inst in enumerate(instances)
+        (inst, policy, seed, cfg.horizon, _trace_path(cfg.out_dir, policy, seed) if traces else None)
+        for inst in instances
         for policy in policies
         for seed in cfg.seeds
     ]
@@ -211,10 +232,8 @@ def _fan_out(fn, jobs: list) -> list:
         return list(pool.map(fn, jobs, chunksize=1))
 
 
-def _trace_path(out_dir: str, policy: str, seed: int, member: int, members: int) -> str:
-    tag = policy.replace(":", "-")
-    stem = f"trace_{tag}_{seed}" if members == 1 else f"trace_m{member}_{tag}_{seed}"
-    return os.path.join(out_dir, stem + ".csv")
+def _trace_path(out_dir: str, policy: str, seed: int) -> str:
+    return os.path.join(out_dir, f"trace_{policy.replace(':', '-')}_{seed}.csv")
 
 
 def _simulate_job(args):
@@ -225,17 +244,15 @@ def _simulate_job(args):
     return (policy, seed) + series_row(trace, eps, include_delta)
 
 
-def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, eps=None):
+def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, eps):
     """Fan (member, policy, seed) jobs over a process pool and aggregate.
 
-    eps, the SaR slackness, defaults to cfg.epsilon; commands pass the one
-    _run_epsilon resolved.  Per-seed results are combined in sorted order so
-    the aggregate floats never depend on worker scheduling.
+    eps is the SaR slackness _run_epsilon resolved (None: no SaR column).
+    Per-seed results are combined in sorted order so the aggregate floats
+    never depend on worker scheduling.
     """
     if write_traces:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    eps = cfg.epsilon if eps is None else eps
-    eps = eps if eps and eps > 0 else None
     jobs = [
         job + (cfg.snapshot_stride, eps, cfg.include_delta)
         for job in _batch_jobs(cfg, instances, policies, write_traces)
@@ -258,14 +275,10 @@ def _run_policies(cfg: ExperimentConfig) -> list[str]:
 
 def _run_epsilon(cfg: ExperimentConfig, instances) -> float | None:
     """cfg.epsilon, else the instances' smallest positive slackness; None
-    unless positive."""
-    eps = cfg.epsilon
-    if eps is None:
-        try:
-            eps = min((e for e in map(slackness_of, instances) if e > 0), default=None)
-        except Exception:
-            eps = None
-    return eps if eps is not None and eps > 0 else None
+    when no instance has one."""
+    if cfg.epsilon is not None:
+        return cfg.epsilon
+    return min((e for e in map(slackness_of, instances) if e > 0), default=None)
 
 
 def cmd_slackness(args) -> int:
@@ -308,7 +321,7 @@ def cmd_simulate(args) -> int:
         outputs["series"][policy] = os.path.basename(path)
         if cfg.write_traces:
             outputs["traces"][policy] = [
-                os.path.basename(_trace_path(cfg.out_dir, policy, s, 0, 1))
+                os.path.basename(_trace_path(cfg.out_dir, policy, s))
                 for s in cfg.seeds
             ]
         print(f"wrote {path}")
@@ -424,7 +437,7 @@ def _verify_job(args):
     err = replay_error(trace)
     if err:
         failures.append(("replay", policy, seed, err))
-    report = lyapunov_report(trace, inst)
+    report = lyapunov_report(trace)
     for c in report.checks:
         if not c.passed:
             failures.append((c.name, policy, seed, f"margin {c.margin!r} at period {c.period}"))
@@ -441,7 +454,9 @@ def _verify_job(args):
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
-    jobs = _batch_jobs(cfg, instances, _run_policies(cfg), cfg.write_traces)
+    # Only simulate writes trace files, and it takes one instance.
+    traces = cfg.write_traces and len(instances) == 1
+    jobs = _batch_jobs(cfg, instances, _run_policies(cfg), traces)
     failures = []
     checked = 0
     for job_failures, job_checks in _fan_out(_verify_job, jobs):

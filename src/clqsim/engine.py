@@ -141,10 +141,6 @@ class CoupledPair:
     epsilon: float
 
 
-def _as_handle(policy: str | PolicyHandle) -> PolicyHandle:
-    return policy if isinstance(policy, PolicyHandle) else PolicyHandle.parse(policy)
-
-
 def _snapshots_from(parts: list) -> Snapshots | None:
     """Stack (period, mu_hat, counts, r_hat) rows; r_hat is None on a single queue."""
     if not parts:
@@ -159,7 +155,7 @@ def _snapshots_from(parts: list) -> Snapshots | None:
 
 def run_single(
     instance: SingleQueueInstance,
-    policy: str | PolicyHandle,
+    policy: str,
     horizon: int,
     seed: int,
     snapshot_stride: int = 0,
@@ -173,10 +169,9 @@ def run_single(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    handle = _as_handle(policy)
     k = instance.k
     mu = list(instance.mu)
-    runner = Runner(handle, instance)
+    runner = Runner(PolicyHandle.parse(policy), instance)
     state = runner.state
 
     arrive = (RandomSource(seed, "arrival").uniforms(horizon) <= instance.lam).astype(np.int64)
@@ -236,7 +231,7 @@ def run_single(
     services[rows, srv_hist[rows]] = svc_hist[rows]
     return Trace(
         instance=instance,
-        policy=handle.cli_name,
+        policy=policy,
         seed=seed,
         horizon=horizon,
         q=q_hist.reshape(-1, 1),
@@ -251,10 +246,9 @@ def run_single(
 
 def run_coupled_single(
     instance: SingleQueueInstance,
-    policy: str | PolicyHandle,
+    policy: str,
     horizon: int,
     seed: int,
-    snapshot_stride: int = 0,
 ) -> CoupledPair:
     """Run the policy queue and the auxiliary queue on shared uniforms.
 
@@ -267,7 +261,7 @@ def run_coupled_single(
         raise ValueError(f"coupling needs a stabilizable instance, slackness={eps}")
     aux = SingleQueueInstance(k=1, lam=instance.lam, mu=(instance.mu_star - eps / 2.0,))
     return CoupledPair(
-        primary=run_single(instance, policy, horizon, seed, snapshot_stride),
+        primary=run_single(instance, policy, horizon, seed),
         auxiliary=run_single(aux, "oracle-best", horizon, seed),
         epsilon=eps,
     )
@@ -336,7 +330,7 @@ def _ucb_block(instance, seeds, service_mode, paths):
 
 def run_network(
     instance: NetworkInstance | SingleQueueInstance,
-    policy: str | PolicyHandle,
+    policy: str,
     horizon: int,
     seed: int,
     snapshot_stride: int = 0,
@@ -350,8 +344,7 @@ def run_network(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     net = as_network(instance)
-    handle = _as_handle(policy)
-    runner = Runner(handle, net)
+    runner = Runner(PolicyHandle.parse(policy), net)
     state = runner.state
     k, n = net.k, net.n
     mu = list(net.mu)
@@ -418,7 +411,7 @@ def run_network(
     services.reshape(-1)[served] = 1
     return Trace(
         instance=net,
-        policy=handle.cli_name,
+        policy=policy,
         seed=seed,
         horizon=horizon,
         q=np.array(q_rows, dtype=np.int64),

@@ -204,13 +204,12 @@ def delta_loss(q, chosen, instance, networked: bool) -> float:
     )
 
 
-def delta_series(trace: Trace, instance=None, networked: bool | None = None) -> np.ndarray:
-    """Per-period delta_loss along a trace, bit for bit; networks take
-    whole-horizon columns, in O(horizon) memory per schedule."""
-    inst = trace.instance if instance is None else instance
-    net = as_network(inst)
-    if networked is None:
-        networked = not net.exit_only
+def delta_series(trace: Trace) -> np.ndarray:
+    """Per-period delta_loss along a trace, against the trace's own instance,
+    bit for bit; networks take whole-horizon columns, in O(horizon) memory
+    per schedule."""
+    net = as_network(trace.instance)
+    networked = not net.exit_only
     h = trace.horizon
     mu = np.asarray(net.mu, dtype=np.float64)
     if net.n == 1 and not networked and structure_constants(net).m_sigma <= 1:
@@ -234,27 +233,16 @@ def delta_series(trace: Trace, instance=None, networked: bool | None = None) -> 
     return np.where(qmax > 0, best - chosen, 0.0)
 
 
-def sar_multi(
-    trace: Trace,
-    instance=None,
-    epsilon: float | None = None,
-    networked: bool | None = None,
-) -> np.ndarray:
-    """Cumulative (delta(t) - eps/2)^+ along a trace."""
-    return _sar_of(delta_series(trace, instance, networked), epsilon)
+def sar_multi(trace: Trace, epsilon: float) -> np.ndarray:
+    """Satisficing regret of any trace: cumulative (delta(t) - eps/2)^+.
+    On a single queue it equals sar_single bit for bit."""
+    return _sar_of(delta_series(trace), epsilon)
 
 
-def _sar_of(delta: np.ndarray, epsilon: float | None) -> np.ndarray:
-    if epsilon is None or epsilon <= 0:
+def _sar_of(delta: np.ndarray, epsilon: float) -> np.ndarray:
+    if epsilon <= 0:
         raise ValueError("satisficing regret needs positive slackness")
     return np.cumsum(np.maximum(delta - epsilon / 2.0, 0.0))
-
-
-def sar(trace: Trace, epsilon: float) -> np.ndarray:
-    """Dispatch satisficing regret on the trace's own instance."""
-    if isinstance(trace.instance, SingleQueueInstance):
-        return sar_single(trace, trace.instance, epsilon)
-    return sar_multi(trace, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -294,14 +282,14 @@ class LyapunovReport:
 _FLOAT_TOL = 1e-9
 
 
-def lyapunov_report(trace: Trace, instance=None, include_delta: bool = True) -> LyapunovReport:
-    """Check the proved path inequalities on one trace.
+def lyapunov_report(trace: Trace) -> LyapunovReport:
+    """Check the proved path inequalities on one trace, against the trace's
+    own instance.
 
     Cumulative-vs-peak comparisons run in exact integer arithmetic over
     every prefix; the float checks carry a 1e-9 slack.
     """
-    inst = trace.instance if instance is None else instance
-    net = as_network(inst)
+    net = as_network(trace.instance)
     sc = structure_constants(net)
     h = trace.horizon
     l1 = trace.l1().astype(np.int64)
@@ -360,19 +348,14 @@ def lyapunov_report(trace: Trace, instance=None, include_delta: bool = True) -> 
         )
     )
 
-    if include_delta:
-        d = delta_series(trace, net)
-        dbound = float(sc.m_sigma if exit_only else 2 * sc.m_sigma)
-        hi = int(d.argmax())
-        lo = int(d.argmin())
-        checks.append(
-            CheckResult(
-                "delta_upper", d[hi] <= dbound + _FLOAT_TOL, dbound - float(d[hi]), hi + 1
-            )
-        )
-        checks.append(
-            CheckResult("delta_nonneg", d[lo] >= -_FLOAT_TOL, float(d[lo]), lo + 1)
-        )
+    d = delta_series(trace)
+    dbound = float(sc.m_sigma if exit_only else 2 * sc.m_sigma)
+    hi = int(d.argmax())
+    lo = int(d.argmin())
+    checks.append(
+        CheckResult("delta_upper", d[hi] <= dbound + _FLOAT_TOL, dbound - float(d[hi]), hi + 1)
+    )
+    checks.append(CheckResult("delta_nonneg", d[lo] >= -_FLOAT_TOL, float(d[lo]), lo + 1))
 
     v = (trace.q.astype(np.float64) ** 2).sum(axis=1)
     drift = float((v[1 : h + 1] - v[:h]).mean()) if h else 0.0

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -15,26 +16,16 @@ from .model import NetworkInstance, ScheduleTable, SingleQueueInstance
 
 VARIANTS = (
     "ucb",
-    "mw_ucb",
-    "bp_ucb",
-    "oracle_best",
-    "oracle_mw",
-    "oracle_bp",
+    "mw-ucb",
+    "bp-ucb",
+    "oracle-best",
+    "oracle-mw",
+    "oracle-bp",
     "fixed",
-    "round_robin",
+    "round-robin",
 )
 
-_CLI_NAMES = {
-    "ucb": "ucb",
-    "mw-ucb": "mw_ucb",
-    "bp-ucb": "bp_ucb",
-    "oracle-best": "oracle_best",
-    "oracle-mw": "oracle_mw",
-    "oracle-bp": "oracle_bp",
-    "round-robin": "round_robin",
-}
-
-LEARNING_VARIANTS = ("ucb", "mw_ucb", "bp_ucb")
+LEARNING_VARIANTS = ("ucb", "mw-ucb", "bp-ucb")
 
 
 class PolicyError(ValueError):
@@ -217,19 +208,20 @@ class PolicyHandle:
 
     @classmethod
     def parse(cls, name: str) -> "PolicyHandle":
-        """Parse a CLI policy string such as 'mw-ucb' or 'fixed:2'."""
-        if name.startswith("fixed:"):
-            return cls(variant="fixed", fixed_server=int(name.split(":", 1)[1]))
-        variant = _CLI_NAMES.get(name, name if name in VARIANTS else None)
-        if variant is None:
+        """Parse a policy name: a variant such as 'mw-ucb', or 'fixed:<j>' with
+        j written as a plain non-negative integer, such as 'fixed:2'."""
+        variant, _, server = name.partition(":")
+        if variant == "fixed" and re.fullmatch(r"0|[1-9][0-9]*", server):
+            return cls(variant="fixed", fixed_server=int(server))
+        if name not in VARIANTS:
             raise PolicyError(f"unknown policy {name!r}")
-        return cls(variant=variant)
+        return cls(variant=name)
 
     @property
-    def cli_name(self) -> str:
+    def name(self) -> str:
         if self.variant == "fixed":
             return f"fixed:{self.fixed_server}"
-        return self.variant.replace("_", "-")
+        return self.variant
 
     @property
     def learning(self) -> bool:
@@ -257,7 +249,7 @@ class Runner:
         # The one server a fixed-server run uses; on one queue every oracle
         # serves the best server.
         self.fixed_server = handle.fixed_server
-        if v == "oracle_best" or (single and v.startswith("oracle")):
+        if v == "oracle-best" or (single and v.startswith("oracle")):
             self.fixed_server = max(range(k), key=lambda i: mu[i])
         if single:
             # On one queue every learner's weighting reduces to the UCB argmax.
@@ -273,13 +265,13 @@ class Runner:
         bp = functools.cache(lambda q: backpressure_select(q, mu, r_true, table))
         self._pick = {
             "ucb": self._maxweight_ucb,
-            "mw_ucb": self._maxweight_ucb,
-            "bp_ucb": self._backpressure_ucb,
-            "oracle_mw": lambda q, t: mw(tuple(q)),
-            "oracle_bp": lambda q, t: bp(tuple(q)),
-            "oracle_best": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
+            "mw-ucb": self._maxweight_ucb,
+            "bp-ucb": self._backpressure_ucb,
+            "oracle-mw": lambda q, t: mw(tuple(q)),
+            "oracle-bp": lambda q, t: bp(tuple(q)),
+            "oracle-best": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
             "fixed": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
-            "round_robin": self._next_schedule,
+            "round-robin": self._next_schedule,
         }[v]
 
     # -- single-queue selection ------------------------------------------

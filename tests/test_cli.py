@@ -76,6 +76,11 @@ class TestSlackness:
         save_instance(inst, str(path))
         assert main(["slackness", str(path)]) == 1
         assert capsys.readouterr().out == "error: 8192 schedules exceeds cap 4096\n"
+        # With no epsilon in the config, simulate and clq solve the same LP.
+        cfg = _config(tmp_path, instance="wide.json", policies=["round-robin"], seeds=[0])
+        for command in ("simulate", "clq"):
+            assert main([command, "-c", cfg]) == 1
+            assert capsys.readouterr().out == "error: 8192 schedules exceeds cap 4096\n"
 
 
 _MULTI_DOC = {
@@ -192,7 +197,7 @@ class TestBatchFold:
             include_delta=include_delta,
             write_traces=False,
         )
-        batch = run_batch(cfg, [inst], policies, write_traces=False)
+        batch = run_batch(cfg, [inst], policies, False, 0.1)
         for policy in policies:
             traces = [run(inst, policy, cfg.horizon, seed) for seed in cfg.seeds]
             want = time_averaged_series(traces, epsilon=0.1, include_delta=include_delta)
@@ -252,6 +257,15 @@ class TestVerify:
         cfg = _config(tmp_path)
         assert main(["simulate", "-c", cfg]) == 0
         assert main(["verify", "-c", cfg]) == 0
+
+    def test_family_config_passes(self, tmp_path, capsys):
+        # simulate writes no trace file for a family, so verify expects none.
+        cfg = _config(tmp_path, instance={"family": "lower-bound", "k": 2, "epsilon": 0.1})
+        assert main(["simulate", "-c", cfg]) == 1
+        assert main(["clq", "-c", cfg]) == 0
+        capsys.readouterr()
+        assert main(["verify", "-c", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("all checks passed")
 
     def test_corrupted_trace_fails(self, tmp_path, fig1_file, capsys):
         cfg = _config(tmp_path)
@@ -544,12 +558,36 @@ class TestConfigParsing:
             ("seeds", [-1]),
             ("seeds", [0, 4, -3]),
             ("seeds", {"base": -2, "count": 5}),
+            ("epsilon", "0.1"),
+            ("epsilon", True),
+            ("epsilon", 0),
+            ("epsilon", -0.1),
+            ("epsilon", float("inf")),
+            ("benchmark", 5),
+            ("policies", "ucb"),
+            ("policies", []),
+            ("policies", ["ucb", 5]),
+            ("policies", ["ucb", "ucb"]),
+            ("out_dir", 5),
+            ("instance", 5),
+            ("instance", ["x.json"]),
+            ("include_delta", "false"),
+            ("include_delta", 0),
+            ("write_traces", "no"),
+            ("write_traces", 1),
         ],
     )
     def test_rejects_bad_integer_fields(self, key, value):
         doc = {"instance": "x.json", "policies": ["ucb"], "horizon": 5, key: value}
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    def test_repeated_policy_exit_one(self, tmp_path, fig1_file, capsys, command):
+        # Folding one policy's seeds twice would shrink its standard error.
+        cfg = _config(tmp_path, policies=["ucb", "oracle-best", "ucb"], seeds=[0, 1], epsilon=0.1)
+        assert main([command, "-c", cfg]) == 1
+        assert capsys.readouterr().out == "error: policies lists 'ucb' more than once\n"
 
     def test_zero_coupling_seeds_accepted(self):
         cfg = ExperimentConfig.from_dict(
@@ -568,6 +606,14 @@ class TestConfigParsing:
             {"seeds": [-1]},
             {"seeds": {"base": -1, "count": 2}},
             {"snapshot_stride": "5"},
+            {"epsilon": "0.1"},
+            {"epsilon": True},
+            {"benchmark": 5},
+            {"policies": "ucb"},
+            {"out_dir": 5},
+            {"instance": 5},
+            {"include_delta": "false"},
+            {"write_traces": "no"},
         ],
     )
     def test_bad_integer_field_exit_one(self, tmp_path, fig1_file, capsys, command, overrides):

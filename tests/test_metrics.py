@@ -15,7 +15,6 @@ from clqsim.metrics import (
     delta_loss,
     delta_series,
     lyapunov_report,
-    sar,
     sar_multi,
     sar_single,
     sar_ucb_ceiling,
@@ -30,6 +29,7 @@ from clqsim.model import (
     NetworkInstance,
     ScheduleSet,
     SingleQueueInstance,
+    as_network,
     single_to_network,
 )
 from test_trace_digests import POLICIES as DIGEST_POLICIES, SEEDS as DIGEST_SEEDS
@@ -144,7 +144,7 @@ class TestSarSingle:
 
     def test_nondecreasing_from_zero(self):
         tr = run_single(figure1_instance(), "ucb", 300, 5)
-        out = sar(tr, 0.1)
+        out = sar_single(tr, tr.instance, 0.1)
         assert out[0] >= 0
         assert (np.diff(out) >= 0).all()
 
@@ -157,6 +157,7 @@ class TestSarSingle:
         l1, sar_vec, delta = series_row(tr, 0.1)
         assert np.array_equal(l1, tr.l1())
         assert sar_vec.tobytes() == sar_single(tr, inst, 0.1).tobytes()
+        assert sar_multi(tr, 0.1).tobytes() == sar_vec.tobytes()
         assert delta is None
         _, sar_with, delta = series_row(tr, 0.1, include_delta=True)
         assert sar_with.tobytes() == sar_vec.tobytes()
@@ -216,9 +217,8 @@ class TestDeltaSeries:
     def test_fast_path_matches_general(self):
         inst = figure1_instance()
         tr = run_single(inst, "ucb", 300, 2)
-        fast = delta_series(tr)
-        slow = delta_series(tr, networked=True)  # exit-only: same value, general loop
-        assert np.array_equal(fast, slow)
+        # The one-queue fast path against delta_loss's scan over schedules.
+        assert delta_series(tr).tobytes() == delta_by_period(tr).tobytes()
 
     def test_constant_gap(self):
         inst = SingleQueueInstance(2, 1.0, (0.6, 0.5))
@@ -231,8 +231,10 @@ class TestDeltaSeries:
 DIGEST_INSTANCES = digest_instances()
 
 
-def delta_by_period(tr, networked):
-    """delta_loss, the one-period reference, at every period of a trace."""
+def delta_by_period(tr):
+    """delta_loss, the one-period reference, at every period of a trace,
+    networked unless the trace's instance is exit-only."""
+    networked = not as_network(tr.instance).exit_only
     return np.array(
         [delta_loss(tr.q[t].tolist(), tr.schedule[t].tolist(), tr.instance, networked)
          for t in range(tr.horizon)]
@@ -247,9 +249,7 @@ class TestDeltaSeriesBitwise:
     def test_digest_matrix(self, label, policy):
         for seed in DIGEST_SEEDS:
             tr = run(DIGEST_INSTANCES[label], policy, 500, seed)
-            for networked in (False, True):
-                want = delta_by_period(tr, networked).tobytes()
-                assert delta_series(tr, networked=networked).tobytes() == want
+            assert delta_series(tr).tobytes() == delta_by_period(tr).tobytes()
 
 
 class TestSarMulti:
@@ -269,17 +269,18 @@ class TestSarMulti:
             b = sar_multi(multi, epsilon=0.1)
             assert np.array_equal(a, b)
 
-    def test_dispatcher(self):
+    def test_routing_network_is_cumulative_delta_loss(self):
         inst = tandem_instance(2, (0.8, 0.6), 0.5)
         tr = run_network(inst, "bp-ucb", 50, 0)
-        assert np.array_equal(sar(tr, 0.05), sar_multi(tr, epsilon=0.05))
+        want = np.cumsum(np.maximum(delta_by_period(tr) - 0.05 / 2.0, 0.0))
+        assert sar_multi(tr, 0.05).tobytes() == want.tobytes()
 
 
 class TestLyapunovReport:
     def test_hand_trace_margins(self):
         inst = SingleQueueInstance(1, 1.0, (0.0,))
         tr = _hand_trace([[0], [1], [2], [3], [3]], inst)
-        rep = lyapunov_report(tr, include_delta=False)
+        rep = lyapunov_report(tr)
         assert rep.passed
         by_name = {c.name: c for c in rep.checks}
         # Both cumulative-vs-peak margins are tight at the first prefix
@@ -292,7 +293,7 @@ class TestLyapunovReport:
     def test_detects_violation(self):
         inst = SingleQueueInstance(1, 1.0, (0.0,))
         tr = _hand_trace([[0], [2], [2], [2], [2]], inst)  # jump of 2
-        rep = lyapunov_report(tr, include_delta=False)
+        rep = lyapunov_report(tr)
         assert not rep.passed
         failed = {c.name for c in rep.checks if not c.passed}
         assert "unit_step_single" in failed

@@ -168,16 +168,26 @@ class TestObserve:
 class TestPolicyHandle:
     def test_parse_round_trip(self):
         for name in ("ucb", "mw-ucb", "bp-ucb", "oracle-best", "oracle-mw", "oracle-bp", "round-robin"):
-            assert PolicyHandle.parse(name).cli_name == name
+            assert PolicyHandle.parse(name).name == name
 
     def test_fixed_parse(self):
-        h = PolicyHandle.parse("fixed:3")
-        assert h.fixed_server == 3
-        assert h.cli_name == "fixed:3"
+        for j in (0, 3, 12):
+            h = PolicyHandle.parse(f"fixed:{j}")
+            assert h.fixed_server == j
+            assert h.name == f"fixed:{j}"
 
     def test_unknown_rejected(self):
         with pytest.raises(PolicyError):
             PolicyHandle.parse("greedy")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["mw_ucb", "oracle_best", "round_robin", "MW-UCB", "fixed", "fixed:", "fixed:01",
+         "fixed:abc", "fixed:-1", "fixed:+1", "fixed: 1", "fixed:1.0", "fixed:\u0663", "ucb:0"],
+    )
+    def test_only_one_spelling(self, name):
+        with pytest.raises(PolicyError):
+            PolicyHandle.parse(name)
 
     def test_learning_flags(self):
         assert PolicyHandle.parse("ucb").learning

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from clqsim.engine import replay_error, run, run_network, run_single
 from clqsim.instances import random_with_slackness, tandem_instance
-from clqsim.metrics import delta_loss, delta_series, sar, sar_multi, sar_single
+from clqsim.metrics import delta_loss, delta_series, sar_multi, sar_single
 from clqsim.model import (
     ScheduleSet,
     ScheduleTable,
@@ -221,7 +221,7 @@ class TestMetricInvariants:
     @given(single_instances(), st.integers(0, 30))
     def test_sar_nondecreasing(self, inst, seed):
         tr = run_single(inst, "ucb", 100, seed)
-        out = sar(tr, 0.1)
+        out = sar_single(tr, inst, 0.1)
         assert out[0] >= 0.0
         assert (np.diff(out) >= 0.0).all()
 
@@ -249,7 +249,11 @@ class TestMetricInvariants:
     @given(single_instances(max_k=3), st.integers(0, 30))
     def test_delta_fast_path_matches_general(self, inst, seed):
         tr = run_single(inst, "ucb", 100, seed)
-        assert np.array_equal(delta_series(tr), delta_series(tr, networked=True))
+        want = [
+            delta_loss(tr.q[t].tolist(), tr.schedule[t].tolist(), inst, False)
+            for t in range(100)
+        ]
+        assert delta_series(tr).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -259,13 +263,12 @@ class TestMetricInvariants:
     )
     def test_delta_series_is_delta_loss_bitwise(self, inst, policy, seed):
         tr = run_network(inst, policy, 150, seed)
-        for networked in (False, True):
-            want = [
-                delta_loss(tr.q[t].tolist(), tr.schedule[t].tolist(), inst, networked)
-                for t in range(150)
-            ]
-            got = delta_series(tr, networked=networked)
-            assert got.tobytes() == np.array(want).tobytes()
+        networked = not inst.exit_only
+        want = [
+            delta_loss(tr.q[t].tolist(), tr.schedule[t].tolist(), inst, networked)
+            for t in range(150)
+        ]
+        assert delta_series(tr).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(generated_networks(), st.lists(st.integers(0, 8), min_size=1, max_size=3))
