@@ -158,12 +158,19 @@ class ExperimentConfig:
         return cls(**doc)
 
 
-_FAMILIES = ("figure1", "lower-bound", "tandem", "random-single", "random-multi", "random-network")
+# Each family and the spec fields it cannot do without.
+_FAMILIES = {"figure1": (), "lower-bound": ("k", "epsilon"), "tandem": ("mu", "n", "lambda0")}
+_FAMILIES |= dict.fromkeys(("random-single", "random-multi", "random-network"), ("k", "epsilon"))
 
 
 def build_family(spec: dict):
     """Materialize a family spec dict into a list of instances."""
     family = spec.get("family")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; know {tuple(_FAMILIES)}")
+    for name in _FAMILIES[family]:
+        if name not in spec:
+            raise ConfigError(f"family {family!r} needs field {name!r}")
     mu = spec.get("mu", [])
     if not isinstance(mu, (list, tuple)):
         raise ConfigError(f"mu must be a list, got {mu!r}")
@@ -178,17 +185,12 @@ def build_family(spec: dict):
     if family == "lower-bound":
         return lower_bound_family(int(spec["k"]), float(spec["epsilon"]))
     if family == "tandem":
-        mu = tuple(float(v) for v in spec["mu"])
-        return [tandem_instance(int(spec["n"]), mu, float(spec["lambda0"]))]
-    if family in ("random-single", "random-multi", "random-network"):
-        kind = family.split("-", 1)[1]
-        n = int(spec.get("n", 1 if kind == "single" else 2))
-        return [
-            random_with_slackness(
-                n, int(spec["k"]), float(spec["epsilon"]), int(spec.get("seed", 0)), kind
-            )
-        ]
-    raise ConfigError(f"unknown family {family!r}; know {_FAMILIES}")
+        return [tandem_instance(int(spec["n"]), tuple(map(float, mu)), float(spec["lambda0"]))]
+    kind = family.split("-", 1)[1]
+    n = int(spec.get("n", 1 if kind == "single" else 2))
+    return [
+        random_with_slackness(n, int(spec["k"]), float(spec["epsilon"]), int(spec.get("seed", 0)), kind)
+    ]
 
 
 def resolve_instances(source: str | dict):
@@ -207,8 +209,13 @@ def resolve_instances(source: str | dict):
 
 
 def _workers(n_jobs: int) -> int:
+    """Pool size: CLQ_WORKERS (an integer >= 1) if set, at most the usable CPUs and n_jobs."""
     cap = os.environ.get("CLQ_WORKERS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    limit = len(os.sched_getaffinity(0))
+    if cap:
+        if not (cap.isdecimal() and int(cap) >= 1):
+            raise ConfigError(f"CLQ_WORKERS must be an integer >= 1, got {cap!r}")
+        limit = min(int(cap), limit)
     return max(1, min(limit, n_jobs))
 
 
@@ -495,7 +502,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_clq)
 
     p = sub.add_parser("make-instance", help="write an instance family to JSON")
-    p.add_argument("family", choices=_FAMILIES)
+    p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
@@ -516,6 +523,9 @@ def main(argv=None) -> int:
         # ConfigError, ParameterError, PolicyError, DistributionError and
         # json.JSONDecodeError are ValueErrors.
         print(f"error: {exc}")
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}")
         return 1
 
 

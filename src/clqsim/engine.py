@@ -28,6 +28,11 @@ LOCKSTEP_BLOCK = 1024  # seeds per block of ucb_queue_paths
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) in 64-bit limbs.
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# Rows of at most this many draws are drawn by _pcg64_block.  On 1024 seeds it
+# costs about 27 ns per draw and seed, and numpy's PCG64 about 1.6 us per seed.
+BLOCK_DRAWS = 32
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,36 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """(hi:lo) * _PCG + (inc_hi:inc_lo) mod 2**128 on uint64 limbs; the high
+    limb of lo * _PCG_LO is summed from 32-bit partial products."""
+    l0, l1, m0, m1 = lo & 0xFFFFFFFF, lo >> 32, _PCG_LO & 0xFFFFFFFF, _PCG_LO >> 32
+    p01, p10 = l0 * m1, l1 * m0
+    mid = (l0 * m0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    hi = hi * _PCG_LO + lo * _PCG_HI + l1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    lo = lo * _PCG_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _pcg64_block(words: np.ndarray, out: np.ndarray) -> None:
+    """Fill out's (seeds, draws) rows as numpy's PCG64(words[i]).random does:
+    per draw an LCG step, the XSL-RR output and (x >> 11) * 2**-53."""
+    w0, w1, w2, w3 = words.T
+    inc = ((w2 << 1) | (w3 >> 63), (w3 << 1) | 1)
+    lo = inc[1] + w1  # pcg_setseq_128_srandom_r: state 0, step, add w0:w1, step
+    hi, lo = _pcg64_step(inc[0] + w0 + (lo < w1), lo, *inc)
+    for d in range(out.shape[1]):
+        hi, lo = _pcg64_step(hi, lo, *inc)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, d] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+    out *= 2.0**-53
+
+
 def seed_block_uniforms(seeds, stream: str, *shape: int) -> np.ndarray:
     """Row i is RandomSource(seeds[i], stream).uniforms(*shape), bit for bit.
     Below 2**128 every seed's SeedSequence entropy is four 32-bit words and
-    the stream id, so the hash runs once per block in uint32 numpy arithmetic;
-    numpy's PCG64 makes every draw."""
+    the stream id, so the hash runs once per block in uint32 numpy arithmetic.
+    _pcg64_block draws rows of at most BLOCK_DRAWS, numpy's PCG64 longer ones."""
     seeds = [int(s) for s in seeds]
     if any(s < 0 or s >> 128 for s in seeds):
         raise ValueError("seeds must lie in [0, 2**128)")
@@ -88,10 +118,14 @@ def seed_block_uniforms(seeds, stream: str, *shape: int) -> np.ndarray:
         pool[dst] = r ^ (r >> 16)
     h = _INIT_B  # generate_state(4, np.uint64): eight words, read as little-endian pairs
     state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
-    out = np.empty((len(seeds), *shape))
-    for words, row in zip(state.astype("<u4").view("<u8").astype(np.uint64), out):
-        np.random.Generator(np.random.PCG64(_SeedWords(words))).random(shape, out=row)
-    return out
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    out = np.empty((len(seeds), math.prod(shape)))
+    if out.shape[1] <= BLOCK_DRAWS:
+        _pcg64_block(words, out)
+    else:
+        for w, row in zip(words, out):
+            np.random.Generator(np.random.PCG64(_SeedWords(w))).random(out=row)
+    return out.reshape(len(seeds), *shape)
 
 
 @dataclass

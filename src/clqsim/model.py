@@ -441,9 +441,11 @@ _SHAPES = ("a number", "a JSON array of numbers", "a JSON array of arrays of num
 def _field(doc: dict, name: str, conv, depth: int = 0, label: str | None = None):
     """doc[name] as conv(number), or as tuples nested depth deep from JSON arrays.
 
-    An integer field takes only integral numbers.  A mistyped value raises
-    a one-line ValueError that names the field.
+    An integer field takes only integral numbers.  A missing or mistyped
+    value raises a one-line ValueError that names the field.
     """
+    if name not in doc:
+        raise ValueError(f"instance field {label or name!r} is missing")
     value = doc[name]
 
     def read(v, d):
@@ -477,16 +479,16 @@ def instance_from_dict(doc: dict) -> SingleQueueInstance | NetworkInstance:
         raise ValueError(f"unknown instance kind: {kind!r}")
     n = _field(doc, "n", int)
     k = _field(doc, "k", int)
-    lam = doc["lambda"]
+    lam = doc.get("lambda")
     if isinstance(lam, dict):
         arrivals = ArrivalModel(
             support=_field(lam, "support", int, 2, "lambda.support"),
             probs=_field(lam, "probs", float, 1, "lambda.probs"),
         )
     else:
+        arrivals = ArrivalModel.bernoulli_single(_field(doc, "lambda", float))
         if n != 1:
             raise ValueError("scalar lambda requires n = 1")
-        arrivals = ArrivalModel.bernoulli_single(_field(doc, "lambda", float))
     transitions = (
         _field(doc, "transitions", float, 2)
         if doc.get("transitions") is not None

@@ -242,6 +242,7 @@ class Runner:
         self.n = n = 1 if single else inst.n
         self.state = PolicyState(k=k, n=n) if handle.learning else None
         self._rr = 0
+        self._lead = (0, 1.0, 0, 0)  # _ucb_server's (until, bound, leader, others' pulls)
         v = handle.variant
         if v == "fixed" and not 0 <= handle.fixed_server < k:
             raise PolicyError(f"fixed server {handle.fixed_server} outside range")
@@ -282,10 +283,18 @@ class Runner:
 
     def _ucb_server(self, q: int, t: int) -> int:
         """ucb_select at period t: ucb_indices' arithmetic, a first-index argmax
-        by strict >, and the first index at the clamp 1.0 wins at once."""
+        by strict >, and the first index at the clamp 1.0 wins at once.  A full
+        scan bounds the other indices up to period until (an index cannot fall
+        while t grows and its tallies stand; 1e-9 covers math.log's last ulp), so
+        while no other server is pulled, a leader index in (bound, 1.0) wins."""
         state = self.state
         state.t = t
         counts, succ, sqrt = state.counts, state.succ, math.sqrt
+        until, bound, lead, others = self._lead
+        if t <= until:
+            c = counts[lead]
+            if sum(counts) - c == others and bound < succ[lead] / c + sqrt(2.0 * math.log(t) / c) < 1.0:
+                return lead
         two_log, best, arg = 2.0 * math.log(t), -1.0, 0
         for j in range(self.k):
             c = counts[j]
@@ -296,6 +305,10 @@ class Runner:
                 return j
             if v > best:
                 best, arg = v, j
+        until = t + 1 + t // 256
+        two_log = 2.0 * math.log(until)
+        rivals = [succ[j] / c + sqrt(two_log / c) for j, c in enumerate(counts) if j != arg]
+        self._lead = (until, max(rivals, default=-1.0) + 1e-9, arg, sum(counts) - counts[arg])
         return arg
 
     def _next_server(self, q, t) -> int:

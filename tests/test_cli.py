@@ -515,6 +515,100 @@ class TestFamilyFields:
         assert out.startswith(f"error: {field}") and out.count("\n") == 1
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"family": "tandem"}, "family 'tandem' needs field 'mu'"),
+            ({"family": "tandem", "mu": [0.8, 0.6], "n": 2}, "family 'tandem' needs field 'lambda0'"),
+            ({"family": "lower-bound", "k": 2}, "family 'lower-bound' needs field 'epsilon'"),
+            ({"family": "random-multi", "epsilon": 0.1}, "family 'random-multi' needs field 'k'"),
+            ({"kind": "single"}, "instance field 'k' is missing"),
+            ({"kind": "single", "k": 2, "mu": [0.5, 0.6]}, "instance field 'lambda' is missing"),
+            ({"kind": "multi", "n": 2, "k": 2}, "instance field 'lambda' is missing"),
+            ({"family": ["tandem"]}, "unknown family ['tandem']"),
+        ],
+    )
+    def test_missing_field_named(self, tmp_path, capsys, command, spec, message):
+        cfg = _config(tmp_path, instance=spec, policies=["mw-ucb"])
+        assert main([command, "-c", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {message}") and out.count("\n") == 1
+
+    def test_make_instance_missing_field(self, tmp_path, capsys):
+        out = tmp_path / "tandem.json"
+        assert main(["make-instance", "tandem", "--out", str(out), "--n", "2", "--lambda0", "0.5"]) == 1
+        assert capsys.readouterr().out == "error: family 'tandem' needs field 'mu'\n"
+        assert not out.exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+class TestWorkerCount:
+    """CLQ_WORKERS is an integer >= 1, and the pool never exceeds the usable CPUs."""
+
+    @pytest.fixture()
+    def pool(self, monkeypatch):
+        monkeypatch.setattr("clqsim.cli.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("clqsim.cli.os.sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        return _RecordingPool.sizes
+
+    @pytest.mark.parametrize(
+        "value, size",
+        [(None, 3), ("", 3), ("1000", 3), ("3", 3), ("2", 2), ("1", None)],
+    )
+    def test_pool_size(self, tmp_path, fig1_file, monkeypatch, pool, value, size):
+        if value is None:
+            monkeypatch.delenv("CLQ_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("CLQ_WORKERS", value)
+        cfg = _config(tmp_path, policies=["ucb", "oracle-best"], horizon=20, write_traces=False)
+        assert main(["clq", "-c", cfg]) == 0
+        assert pool == ([] if size is None else [size])
+
+    def test_capped_at_job_count(self, tmp_path, fig1_file, monkeypatch, pool):
+        monkeypatch.setenv("CLQ_WORKERS", "1000")
+        cfg = _config(tmp_path, horizon=20, seeds=[0, 1], write_traces=False)
+        assert main(["clq", "-c", cfg]) == 0
+        assert pool == [2]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2", "2e3"])
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    def test_bad_value_exit_one(self, tmp_path, fig1_file, capsys, monkeypatch, pool, value, command):
+        monkeypatch.setenv("CLQ_WORKERS", value)
+        assert main([command, "-c", _config(tmp_path, horizon=20, write_traces=False)]) == 1
+        out = capsys.readouterr().out
+        assert out == f"error: CLQ_WORKERS must be an integer >= 1, got {value!r}\n"
+        assert pool == []
+
+
+class TestOutOfMemory:
+    # 10**15 periods ask for petabytes, which every allocator refuses at once.
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    def test_huge_horizon_exit_one(self, tmp_path, fig1_file, capsys, monkeypatch, command):
+        monkeypatch.setenv("CLQ_WORKERS", "1")
+        cfg = _config(tmp_path, horizon=10**15, seeds=[0], write_traces=False, coupling_seeds=0)
+        assert main([command, "-c", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: out of memory: ") and out.count("\n") == 1
+
 
 class TestConfigParsing:
     def test_seed_range_expansion(self, tmp_path, fig1_file):

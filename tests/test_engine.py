@@ -79,6 +79,38 @@ class TestSeedBlockUniforms:
     def test_no_seeds(self, shape):
         assert seed_block_uniforms([], "arrival", *shape).shape == (0, *shape)
 
+    # Seeds at the top of the domain, where every hash and LCG limb is full.
+    TOP = [2**128 - 1 - i for i in range(40)] + [2**127 + 3, 0]
+
+    @pytest.mark.parametrize("stream", ["arrival", "service"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1,),
+            (5,),
+            (engine.BLOCK_DRAWS,),
+            (engine.BLOCK_DRAWS + 1,),
+            (5, 5),
+            (engine.BLOCK_DRAWS // 4, 4),
+            (engine.BLOCK_DRAWS // 4 + 1, 4),
+            (40, 5),
+        ],
+    )
+    def test_both_sides_of_block_draws(self, stream, shape):
+        """Rows up to BLOCK_DRAWS come from the block LCG, longer ones from
+        numpy's PCG64; both equal RandomSource, in the shared (h,) and the
+        per-server (h, k) service shapes."""
+        got = seed_block_uniforms(self.TOP, stream, *shape)
+        for row, seed in zip(got, self.TOP):
+            assert np.array_equal(row, RandomSource(seed, stream).uniforms(*shape)), seed
+        assert seed_block_uniforms([], stream, *shape).shape == (0, *shape)
+
+    def test_short_rows_build_no_generator(self, monkeypatch):
+        seeds = self.TOP[:8]
+        want = [RandomSource(s, "service").uniforms(5, 5) for s in seeds]
+        monkeypatch.setattr(np.random, "PCG64", None)
+        assert np.array_equal(seed_block_uniforms(seeds, "service", 5, 5), want)
+
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
     def test_seed_domain(self, seed):
         with pytest.raises(ValueError, match=r"2\*\*128"):

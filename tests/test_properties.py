@@ -350,6 +350,41 @@ class TestBoundSelectors:
         assert runner.select_server(3, t) == ucb_select(ref, 3)
         assert state.t == t
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4000), st.data())
+    def test_ucb_leader_bound_equals_ucb_select(self, k, t, data):
+        """Runner keeps its leader bound from call to call.  Every choice must
+        still be ucb_select's while the leader and other servers are pulled,
+        t jumps past the bound's horizon, and indices tie exactly (repeated
+        tallies) or at the clamp (untried or rarely pulled servers)."""
+        tally = st.one_of(
+            st.sampled_from([(0, 0), (3, 1), (900, 450), (900, 451), (2000, 1200)]),
+            st.integers(1, 3000).flatmap(lambda c: st.tuples(st.just(c), st.integers(0, c))),
+        )
+        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(k, 0.3, (0.5,) * k))
+        state = runner.state
+        for srv, (c, s) in enumerate(data.draw(st.lists(tally, min_size=k, max_size=k))):
+            state.counts[srv], state.succ[srv] = c, s
+        for _ in range(data.draw(st.integers(1, 60))):
+            ref = PolicyState(k=k, n=1, t=t, counts=list(state.counts), succ=list(state.succ))
+            j = runner.select_server(1, t)
+            assert j == ucb_select(ref, 1)
+            srv = data.draw(st.sampled_from([j, j, j, *range(k)]))
+            state.record(srv, data.draw(st.integers(0, 1)), None)
+            t += data.draw(st.sampled_from([0, 1, 1, 1, 2, 9, 40, 400]))
+
+    def test_leader_bound_stops_at_the_clamp(self):
+        """Server 0 crosses the clamp before the bound's horizon, so the bound
+        is above 1.0; once the leader (server 1) passes it too, the clamp's
+        first-index rule picks server 0."""
+        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(2, 0.3, (0.5, 0.5)))
+        state = runner.state
+        state.counts[:], state.succ[:] = [753, 681], [651, 584]
+        assert runner.select_server(1, 1000) == 1
+        state.record(1, 1, None)
+        ref = PolicyState(k=2, n=1, t=1001, counts=list(state.counts), succ=list(state.succ))
+        assert runner.select_server(1, 1001) == ucb_select(ref, 1) == 0
+
     @pytest.mark.parametrize(
         "counts, succ, t, want",
         [
