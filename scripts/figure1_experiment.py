@@ -33,7 +33,6 @@ def run(argv=None) -> int:
         "epsilon": 0.1,
         "horizon": args.horizon,
         "seeds": {"base": 0, "count": args.seeds},
-        "snapshot_stride": 0,
         "out_dir": ".",
         "write_traces": bool(args.traces),
     }

@@ -16,7 +16,7 @@ from clqsim.instances import random_with_slackness, tandem_instance
 def final_window_load(inst, policy, horizon, n_seeds) -> float:
     window = []
     for seed in range(n_seeds):
-        tr = run_network(inst, policy, horizon, seed, snapshot_stride=0)
+        tr = run_network(inst, policy, horizon, seed)
         window.append(tr.l1()[int(0.9 * horizon):].mean())
     return float(np.mean(window))
 

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .model import (
     ArrivalModel,
-    DistributionError,
     EnumerationCapExceeded,
     NetworkInstance,
     ScheduleSet,
@@ -14,7 +13,6 @@ from .model import (
     SlacknessResult,
     StructureConstants,
     as_network,
-    effective_service_rate,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -28,7 +26,6 @@ from .model import (
     validate_instance,
 )
 from .policies import (
-    ObservationMismatch,
     PolicyError,
     PolicyHandle,
     PolicyState,
@@ -37,19 +34,15 @@ from .policies import (
     feasible_schedules,
     lcb_transition,
     maxweight_select,
-    observe,
     ucb_index,
     ucb_select,
 )
 from .engine import (
-    CoupledPair,
     RandomSource,
-    Snapshots,
     Trace,
     replay_csv_error,
     replay_error,
     run,
-    run_coupled_single,
     run_network,
     run_single,
     trace_csv_lines,
@@ -71,7 +64,6 @@ from .metrics import (
     lyapunov_report,
     sar_multi,
     sar_single,
-    sar_ucb_ceiling,
     schedule_weight,
     series_row,
     series_to_csv,

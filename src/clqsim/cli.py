@@ -81,7 +81,7 @@ class ExperimentConfig:
     policies: list[str]
     horizon: int
     seeds: list[int]
-    snapshot_stride: int = 0
+    snapshot_stride: int = 0  # accepted for compatibility; must be 0
     out_dir: str = "results"
     benchmark: str | None = None
     epsilon: float | None = None
@@ -114,14 +114,19 @@ class ExperimentConfig:
             raise ConfigError("horizon must be at least 1")
         if self.coupling_seeds < 0:
             raise ConfigError("coupling_seeds must be non-negative (0 disables the check)")
-        if self.snapshot_stride < 0:
-            raise ConfigError("snapshot_stride must be non-negative (0 disables snapshots)")
+        if self.snapshot_stride != 0:
+            raise ConfigError(f"snapshot_stride must be 0, got {self.snapshot_stride!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        seen = set()
         for seed in self.seeds:
             _require_number("seeds entries", seed)
             if seed < 0:
                 raise ConfigError(f"seeds must be non-negative, got {seed}")
+            # A repeated seed would count one sample path twice and share one trace file.
+            if seed in seen:
+                raise ConfigError(f"seeds lists {seed} more than once")
+            seen.add(seed)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -244,8 +249,8 @@ def _trace_path(out_dir: str, policy: str, seed: int) -> str:
 
 
 def _simulate_job(args):
-    inst, policy, seed, horizon, trace_path, stride, eps, include_delta = args
-    trace = run(inst, policy, horizon, seed, stride)
+    inst, policy, seed, horizon, trace_path, eps, include_delta = args
+    trace = run(inst, policy, horizon, seed)
     if trace_path is not None:
         trace_to_csv(trace, trace_path)
     return (policy, seed) + series_row(trace, eps, include_delta)
@@ -261,7 +266,7 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, ep
     if write_traces:
         os.makedirs(cfg.out_dir, exist_ok=True)
     jobs = [
-        job + (cfg.snapshot_stride, eps, cfg.include_delta)
+        job + (eps, cfg.include_delta)
         for job in _batch_jobs(cfg, instances, policies, write_traces)
     ]
     results = _fan_out(_simulate_job, jobs)
@@ -520,8 +525,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, GenerationFailed, EnumerationCapExceeded) as exc:
-        # ConfigError, ParameterError, PolicyError, DistributionError and
-        # json.JSONDecodeError are ValueErrors.
+        # ConfigError, ParameterError, PolicyError and json.JSONDecodeError
+        # are ValueErrors.
         print(f"error: {exc}")
         return 1
     except MemoryError as exc:

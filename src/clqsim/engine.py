@@ -1,6 +1,6 @@
 """Exact discrete-time dynamics with seeded, replayable randomness.
 
-Per-period event order: observe queue -> schedule -> service draws ->
+Per-period event order: read queue -> schedule -> service draws ->
 transition draws -> arrival draws -> queue update.  All randomness is
 pregenerated into per-stream arrays indexed by period (and server), so
 draws are policy-independent and common-random-number pairing across
@@ -18,7 +18,6 @@ from .model import (
     NetworkInstance,
     SingleQueueInstance,
     as_network,
-    slackness_single,
     structure_constants,
 )
 from .policies import PolicyError, PolicyHandle, PolicyState, Runner
@@ -129,16 +128,6 @@ def seed_block_uniforms(seeds, stream: str, *shape: int) -> np.ndarray:
 
 
 @dataclass
-class Snapshots:
-    """Estimator state entering the recorded periods."""
-
-    periods: np.ndarray
-    mu_hat: np.ndarray
-    counts: np.ndarray
-    r_hat: np.ndarray | None
-
-
-@dataclass
 class Trace:
     """Full per-period record of one simulation run.
 
@@ -157,34 +146,11 @@ class Trace:
     arrivals: np.ndarray
     services: np.ndarray
     targets: np.ndarray | None
-    snapshots: Snapshots | None
     final_state: PolicyState | None
 
     def l1(self) -> np.ndarray:
         """Total queue length per period, t = 1..horizon."""
         return self.q[: self.horizon].sum(axis=1)
-
-
-@dataclass
-class CoupledPair:
-    """Policy trace plus the rate-(mu* - eps/2) auxiliary queue, sharing
-    the arrival stream and the per-period service uniform."""
-
-    primary: Trace
-    auxiliary: Trace
-    epsilon: float
-
-
-def _snapshots_from(parts: list) -> Snapshots | None:
-    """Stack (period, mu_hat, counts, r_hat) rows; r_hat is None on a single queue."""
-    if not parts:
-        return None
-    periods = np.array([p[0] for p in parts], dtype=np.int64)
-    mu_hat = np.array([p[1] for p in parts], dtype=np.float64)
-    counts = np.array([p[2] for p in parts], dtype=np.int64)
-    with_r = parts[0][3] is not None
-    r_hat = np.array([p[3] for p in parts], dtype=np.float64) if with_r else None
-    return Snapshots(periods=periods, mu_hat=mu_hat, counts=counts, r_hat=r_hat)
 
 
 def run_single(
@@ -200,9 +166,12 @@ def run_single(
     service_mode "shared" drives all server indicators off one uniform
     per period (the coupling construction); "independent" draws one
     uniform per (period, server) instead.  Both have the same law.
+    snapshot_stride is accepted for compatibility and must be 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if snapshot_stride != 0:
+        raise ValueError("snapshot_stride must be 0: runs record no snapshots")
     k = instance.k
     mu = list(instance.mu)
     runner = Runner(PolicyHandle.parse(policy), instance)
@@ -213,7 +182,6 @@ def run_single(
         raise ValueError(f"unknown service_mode {service_mode!r}")
     shared = service_mode == "shared"
     u_srv = RandomSource(seed, "service").uniforms(*((horizon,) if shared else (horizon, k)))
-    snaps: list = []
 
     if runner.fixed_server is not None:
         # Q(t+1) = max(Q(t) - S(t), 0) + A(t), so R(t) = Q(t+1) - A(t) is the
@@ -234,12 +202,9 @@ def run_single(
         q_list = [0] * (horizon + 1)
         srv_list = [-1] * horizon
         svc_list = [0] * horizon
-        stride = snapshot_stride if state is not None else 0
         select = runner.select_server
         q = 0
         for t in range(1, horizon + 1):
-            if stride and (t - 1) % stride == 0:
-                snaps.append((t, state.mu_hat, list(state.counts), None))
             if q > 0:
                 j = select(q, t)
                 if j is not None:
@@ -273,31 +238,7 @@ def run_single(
         arrivals=arrive.astype(np.uint8).reshape(-1, 1),
         services=services,
         targets=None,
-        snapshots=_snapshots_from(snaps),
         final_state=state,
-    )
-
-
-def run_coupled_single(
-    instance: SingleQueueInstance,
-    policy: str,
-    horizon: int,
-    seed: int,
-) -> CoupledPair:
-    """Run the policy queue and the auxiliary queue on shared uniforms.
-
-    The auxiliary queue is the one-server instance of rate mu* - eps/2
-    under oracle-best with the same seed, so it reads the policy run's
-    arrival uniforms and its per-period shared service uniform.
-    """
-    eps = slackness_single(instance)
-    if eps <= 0:
-        raise ValueError(f"coupling needs a stabilizable instance, slackness={eps}")
-    aux = SingleQueueInstance(k=1, lam=instance.lam, mu=(instance.mu_star - eps / 2.0,))
-    return CoupledPair(
-        primary=run_single(instance, policy, horizon, seed),
-        auxiliary=run_single(aux, "oracle-best", horizon, seed),
-        epsilon=eps,
     )
 
 
@@ -377,6 +318,8 @@ def run_network(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if snapshot_stride != 0:
+        raise ValueError("snapshot_stride must be 0: runs record no snapshots")
     net = as_network(instance)
     runner = Runner(PolicyHandle.parse(policy), net)
     state = runner.state
@@ -404,15 +347,12 @@ def run_network(
         dest_rows = dest.tolist()
 
     q = [0] * n
-    q_rows, sched_rows, served, snaps = [], [], [], []
-    stride = snapshot_stride if state is not None else 0
+    q_rows, sched_rows, served = [], [], []
     select = runner.select_schedule
 
     for row, ai in enumerate(arr_idx.tolist()):
         t = row + 1
         q_rows.append(q[:])
-        if stride and row % stride == 0:
-            snaps.append((t, state.mu_hat, list(state.counts), state.r_hat))
         sigma = select(q, t)
         r = table.row.get(tuple(sigma))
         if r is None:
@@ -453,7 +393,6 @@ def run_network(
         arrivals=support[arr_idx],
         services=services,
         targets=None if dest is None else np.where(services == 1, dest, -1).astype(np.int16),
-        snapshots=_snapshots_from(snaps),
         final_state=state,
     )
 

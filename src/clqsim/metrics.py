@@ -26,8 +26,6 @@ class MetricSeries:
     n_traces: int
     avg_queue_mean: np.ndarray
     avg_queue_se: np.ndarray
-    per_period_mean: np.ndarray
-    per_period_se: np.ndarray
     sar_mean: np.ndarray | None = None
     sar_se: np.ndarray | None = None
     delta_mean: np.ndarray | None = None
@@ -78,25 +76,21 @@ def fold_series(horizon: int, rows) -> MetricSeries:
 
     A SaR or delta column is present when the rows carry it.
     """
-    avg_w, per_w, sar_w, delta_w = _Welford(), _Welford(), _Welford(), _Welford()
+    avg_w, sar_w, delta_w = _Welford(), _Welford(), _Welford()
     grid = np.arange(1, horizon + 1, dtype=np.float64)
     for l1, sar_vec, delta_vec in rows:
         if len(l1) != horizon:
             raise GridMismatch(f"horizon {len(l1)} != {horizon}")
-        l1 = l1.astype(np.float64)
-        per_w.add(l1)
-        avg_w.add(np.cumsum(l1) / grid)
+        avg_w.add(np.cumsum(l1.astype(np.float64)) / grid)
         if sar_vec is not None:
             sar_w.add(sar_vec)
         if delta_vec is not None:
             delta_w.add(delta_vec)
     return MetricSeries(
         horizon=horizon,
-        n_traces=per_w.n,
+        n_traces=avg_w.n,
         avg_queue_mean=avg_w.mean,
         avg_queue_se=avg_w.se(),
-        per_period_mean=per_w.mean,
-        per_period_se=per_w.se(),
         sar_mean=sar_w.mean,
         sar_se=sar_w.se() if sar_w.n else None,
         delta_mean=delta_w.mean,
@@ -255,28 +249,13 @@ class CheckResult:
 
 @dataclass
 class LyapunovReport:
-    """Sample-path inequality checks plus the quadratic drift estimate."""
+    """Sample-path inequality checks."""
 
     checks: tuple[CheckResult, ...]
-    drift_mean: float
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [
-                {
-                    "name": c.name,
-                    "pass": bool(c.passed),
-                    "margin": float(c.margin),
-                    "period": int(c.period),
-                }
-                for c in self.checks
-            ],
-            "drift_mean": float(self.drift_mean),
-        }
 
 
 _FLOAT_TOL = 1e-9
@@ -356,10 +335,7 @@ def lyapunov_report(trace: Trace) -> LyapunovReport:
         CheckResult("delta_upper", d[hi] <= dbound + _FLOAT_TOL, dbound - float(d[hi]), hi + 1)
     )
     checks.append(CheckResult("delta_nonneg", d[lo] >= -_FLOAT_TOL, float(d[lo]), lo + 1))
-
-    v = (trace.q.astype(np.float64) ** 2).sum(axis=1)
-    drift = float((v[1 : h + 1] - v[:h]).mean()) if h else 0.0
-    return LyapunovReport(checks=tuple(checks), drift_mean=drift)
+    return LyapunovReport(checks=tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -407,11 +383,6 @@ def series_to_csv(series: MetricSeries, path: str, benchmark: MetricSeries | Non
             ]
             lines = map(",".join, zip(map(str, range(lo + 1, hi + 1)), *cells))
             fh.write("\r\n".join(lines) + "\r\n")
-
-
-def sar_ucb_ceiling(k: int, horizon_t: float, epsilon: float) -> float:
-    """Logarithmic satisficing-regret ceiling for the optimistic policy."""
-    return 16.0 * k * (math.log(horizon_t) + 2.0) / epsilon
 
 
 def theorem_bounds(instance, epsilon: float) -> TheoremBounds:

@@ -13,12 +13,7 @@ import numpy as np
 from .simplex import simplex_maximize
 
 PROB_TOL = 1e-12
-RATE_TOL = 1e-9
 DEFAULT_SCHEDULE_CAP = 4096
-
-
-class DistributionError(ValueError):
-    """A supplied weight vector is not a probability distribution."""
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -343,18 +338,6 @@ def net_rate_matrix(inst: NetworkInstance) -> np.ndarray:
             for q in inst.destinations[srv]:
                 g[q, s] -= inst.mu[srv] * inst.transitions[srv][q]
     return g
-
-
-def effective_service_rate(inst: NetworkInstance, phi: Sequence[float]) -> np.ndarray:
-    """Per-queue net service rate under schedule distribution phi."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (len(inst.schedules),):
-        raise DistributionError(
-            f"phi has {phi.size} entries for {len(inst.schedules)} schedules"
-        )
-    if abs(float(phi.sum()) - 1.0) > RATE_TOL or (phi < -RATE_TOL).any():
-        raise DistributionError("phi is not a probability distribution")
-    return net_rate_matrix(inst) @ phi
 
 
 def traffic_slackness(

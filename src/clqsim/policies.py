@@ -32,10 +32,6 @@ class PolicyError(ValueError):
     """A policy produced an inadmissible decision."""
 
 
-class ObservationMismatch(ValueError):
-    """An outcome was reported for a server the schedule did not select."""
-
-
 @dataclass
 class PolicyState:
     """Learning state: per-server counts, successes, transition tallies."""
@@ -162,31 +158,6 @@ def backpressure_select(
         for srv in range(len(mu_bar))
     ]
     return _heaviest(table, q, gain)
-
-
-def observe(
-    state: PolicyState,
-    schedule: Sequence[int],
-    services: dict[int, int],
-    transitions: dict[int, int | None] | None = None,
-) -> PolicyState:
-    """Fold the revealed outcomes of one period into the state.
-
-    services maps selected server -> 0/1 outcome; transitions maps a
-    successful server -> destination queue (None for exit).
-    """
-    transitions = transitions or {}
-    selected = {srv for srv, on in enumerate(schedule) if on}
-    for srv in services:
-        if srv not in selected:
-            raise ObservationMismatch(f"service outcome for unselected server {srv}")
-    for srv in transitions:
-        if srv not in selected:
-            raise ObservationMismatch(f"transition outcome for unselected server {srv}")
-    for srv in sorted(selected):
-        s = services.get(srv, 0)
-        state.record(srv, s, transitions.get(srv) if s else None)
-    return state
 
 
 @dataclass(frozen=True)

@@ -206,8 +206,6 @@ class TestBatchFold:
             for name in (
                 "avg_queue_mean",
                 "avg_queue_se",
-                "per_period_mean",
-                "per_period_se",
                 "sar_mean",
                 "sar_se",
                 "delta_mean",
@@ -669,6 +667,8 @@ class TestConfigParsing:
             ("include_delta", 0),
             ("write_traces", "no"),
             ("write_traces", 1),
+            pytest.param("snapshot_stride", 5, id="snapshot_stride-nonzero"),
+            pytest.param("seeds", [0, 0, 0], id="seeds-repeated"),
         ],
     )
     def test_rejects_bad_integer_fields(self, key, value):
@@ -708,6 +708,8 @@ class TestConfigParsing:
             {"instance": 5},
             {"include_delta": "false"},
             {"write_traces": "no"},
+            {"snapshot_stride": 5},
+            {"seeds": [0, 0, 0]},
         ],
     )
     def test_bad_integer_field_exit_one(self, tmp_path, fig1_file, capsys, command, overrides):

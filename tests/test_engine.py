@@ -1,4 +1,4 @@
-"""Dynamics, determinism, replay, embeddings, and the coupled pair."""
+"""Dynamics, determinism, replay, embeddings, and the lockstep UCB kernel."""
 import csv
 import io
 
@@ -14,7 +14,6 @@ from clqsim.engine import (
     replay_csv_error,
     replay_error,
     run,
-    run_coupled_single,
     run_network,
     run_single,
     seed_block_uniforms,
@@ -29,6 +28,7 @@ from clqsim.model import (
     ScheduleSet,
     SingleQueueInstance,
     single_to_network,
+    slackness_single,
 )
 from clqsim.policies import PolicyError
 
@@ -120,9 +120,10 @@ class TestSeedBlockUniforms:
 class TestRunSingle:
     def test_no_arrivals_stays_empty(self):
         inst = SingleQueueInstance(3, 0.0, (0.5, 0.5, 0.5))
-        tr = run_single(inst, "ucb", 50, 0)
-        assert not tr.q.any()
-        assert not tr.schedule.any()
+        for policy in ("ucb", "oracle-best"):
+            tr = run_single(inst, policy, 50, 0)
+            assert not tr.q.any()
+            assert not tr.schedule.any()
 
     def test_pure_accumulation(self):
         inst = SingleQueueInstance(1, 1.0, (0.0,))
@@ -142,6 +143,10 @@ class TestRunSingle:
         assert np.array_equal(a.schedule, b.schedule)
         assert np.array_equal(a.services, b.services)
         assert np.array_equal(a.arrivals, b.arrivals)
+        # Common random numbers: the coupling's auxiliary queue, one server of
+        # rate mu* - eps/2 under oracle-best, draws the same arrivals.
+        aux = SingleQueueInstance(1, inst.lam, (inst.mu_star - slackness_single(inst) / 2.0,))
+        assert np.array_equal(run_single(aux, "oracle-best", 500, 11).arrivals, a.arrivals)
 
     def test_unit_steps(self):
         tr = run_single(figure1_instance(), "round-robin", 500, 5)
@@ -160,11 +165,12 @@ class TestRunSingle:
         assert replay_error(shared) is None
         assert replay_error(indep) is None
 
-    def test_snapshots_stride(self):
-        tr = run_single(figure1_instance(), "ucb", 100, 0, snapshot_stride=10)
-        assert list(tr.snapshots.periods) == list(range(1, 101, 10))
-        tr0 = run_single(figure1_instance(), "ucb", 100, 0, snapshot_stride=0)
-        assert tr0.snapshots is None
+    def test_snapshot_stride_must_be_zero(self):
+        # Runs record no estimator snapshots, so the keyword accepts only 0.
+        single, net = figure1_instance(), tandem_instance(2, (0.8, 0.6), 0.5)
+        for fn, inst in [(run_single, single), (run_network, net), (run, single), (run, net)]:
+            with pytest.raises(ValueError, match="snapshot_stride must be 0"):
+                fn(inst, "ucb", 100, 0, snapshot_stride=10)
 
     def test_estimates_are_exact_ratios(self):
         tr = run_single(figure1_instance(), "ucb", 400, 9)
@@ -217,7 +223,7 @@ class TestFixedServerClosedForm:
             want = _fixed_server_reference(inst, server, horizon, seed, service_mode)
             for got, ref in zip((tr.q, tr.schedule, tr.services, tr.arrivals), want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
-            assert tr.final_state is None and tr.snapshots is None
+            assert tr.final_state is None
 
     def test_no_embedding_built(self, monkeypatch):
         from clqsim import model
@@ -323,48 +329,6 @@ class TestRunDispatcher:
         assert single.q.shape == (51, 1)
         net = run(tandem_instance(2, (0.8, 0.6), 0.5), "bp-ucb", 50, 0)
         assert net.q.shape == (51, 2)
-
-
-class TestCoupledPair:
-    def test_primary_identical_to_plain_run(self):
-        inst = figure1_instance()
-        pair = run_coupled_single(inst, "ucb", 400, 6)
-        plain = run_single(inst, "ucb", 400, 6)
-        assert np.array_equal(pair.primary.q, plain.q)
-        assert np.array_equal(pair.primary.schedule, plain.schedule)
-
-    def test_shared_arrivals(self):
-        pair = run_coupled_single(figure1_instance(), "ucb", 300, 2)
-        assert np.array_equal(pair.primary.arrivals, pair.auxiliary.arrivals)
-
-    def test_auxiliary_dynamics(self):
-        # Q~(t+1) = (Q~(t) - S~(t))^+ + A(t), exactly.
-        pair = run_coupled_single(figure1_instance(), "ucb", 300, 2)
-        aux = pair.auxiliary
-        q = aux.q[:, 0]
-        s = aux.services[:, 0]
-        a = aux.arrivals[:, 0]
-        for t in range(300):
-            assert q[t + 1] == max(q[t] - s[t], 0) + a[t]
-
-    def test_auxiliary_is_single_server_run(self):
-        inst = figure1_instance()
-        pair = run_coupled_single(inst, "ucb", 250, 4)
-        aux_inst = pair.auxiliary.instance
-        assert aux_inst.mu[0] == pytest.approx(inst.mu_star - pair.epsilon / 2)
-        direct = run_single(aux_inst, "oracle-best", 250, 4)
-        assert np.array_equal(direct.q, pair.auxiliary.q)
-
-    def test_zero_arrivals_both_empty(self):
-        inst = SingleQueueInstance(2, 0.0, (0.5, 0.7))
-        pair = run_coupled_single(inst, "ucb", 100, 0)
-        assert not pair.primary.q.any()
-        assert not pair.auxiliary.q.any()
-
-    def test_requires_stabilizable(self):
-        inst = SingleQueueInstance(2, 0.5, (0.4, 0.4))
-        with pytest.raises(ValueError):
-            run_coupled_single(inst, "ucb", 10, 0)
 
 
 class TestUcbQueuePaths:

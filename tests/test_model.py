@@ -6,14 +6,12 @@ import pytest
 
 from clqsim.model import (
     ArrivalModel,
-    DistributionError,
     EnumerationCapExceeded,
     NetworkInstance,
     ScheduleSet,
     ScheduleTable,
     SingleQueueInstance,
     as_network,
-    effective_service_rate,
     instance_from_dict,
     instance_to_dict,
     net_rate_matrix,
@@ -172,34 +170,31 @@ class TestStructureConstants:
 
 
 class TestEffectiveServiceRate:
+    """The net service rate under schedule distribution phi is net_rate_matrix(inst) @ phi."""
+
     def test_zero_schedule_point_mass(self):
         inst = two_queue_singletons()
         phi = [0.0, 0.0, 1.0]
-        assert effective_service_rate(inst, phi) == pytest.approx([0.0, 0.0])
+        assert net_rate_matrix(inst) @ phi == pytest.approx([0.0, 0.0])
 
     def test_single_server_point_mass(self):
         inst = single_to_network(SingleQueueInstance(2, 0.3, (0.4, 0.7)))
         phi = [0.0, 1.0, 0.0]
-        assert effective_service_rate(inst, phi) == pytest.approx([0.7])
+        assert net_rate_matrix(inst) @ phi == pytest.approx([0.7])
 
     def test_tandem_inflow_deduction(self):
         inst = tandem_two()
         phi = [1.0, 0.0, 0.0, 0.0]  # point mass on (1,1)
-        assert effective_service_rate(inst, phi) == pytest.approx([0.8, -0.2])
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(DistributionError):
-            effective_service_rate(two_queue_singletons(), [0.5, 0.0, 0.0])
+        assert net_rate_matrix(inst) @ phi == pytest.approx([0.8, -0.2])
 
     def test_linear_in_phi(self):
         inst = tandem_two()
         p1 = np.array([0.5, 0.2, 0.2, 0.1])
         p2 = np.array([0.1, 0.3, 0.3, 0.3])
         mix = 0.3 * p1 + 0.7 * p2
-        lhs = effective_service_rate(inst, mix)
-        rhs = 0.3 * np.asarray(effective_service_rate(inst, p1)) + 0.7 * np.asarray(
-            effective_service_rate(inst, p2)
-        )
+        g = net_rate_matrix(inst)
+        lhs = g @ mix
+        rhs = 0.3 * (g @ p1) + 0.7 * (g @ p2)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -225,9 +220,8 @@ class TestSlackness:
     def test_witness_feasible(self):
         inst = tandem_two()
         res = traffic_slackness(inst)
-        rates = effective_service_rate(inst, res.witness)
-        lam = net_rate_matrix(inst) is not None  # matrix exists for networks
-        assert lam
+        assert min(res.witness) >= -1e-9 and sum(res.witness) == pytest.approx(1.0, abs=1e-9)
+        rates = net_rate_matrix(inst) @ res.witness
         means = [0.5, 0.0]
         for n in range(2):
             assert rates[n] >= means[n] + res.epsilon - 1e-9

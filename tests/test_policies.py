@@ -14,7 +14,6 @@ from clqsim.model import (
     single_to_network,
 )
 from clqsim.policies import (
-    ObservationMismatch,
     PolicyError,
     PolicyHandle,
     PolicyState,
@@ -23,7 +22,6 @@ from clqsim.policies import (
     feasible_schedules,
     lcb_transition,
     maxweight_select,
-    observe,
     ucb_index,
     ucb_select,
 )
@@ -139,30 +137,22 @@ class TestBackPressure:
 
 
 class TestObserve:
-    def test_no_selection_no_change(self):
-        state = PolicyState(k=2, n=1)
-        observe(state, (0, 0), {}, {})
-        assert state.counts == [0, 0]
+    """The engine folds each selected server's outcome with PolicyState.record."""
 
     def test_running_mean(self):
         state = PolicyState(k=1, n=1)
         state.counts = [3]
         state.succ = [1]
-        observe(state, (1,), {0: 1}, {})
+        state.record(0, 1, None)
         assert state.counts == [4]
         assert state.mu_hat == [0.5]
 
     def test_transition_indicator(self):
         state = PolicyState(k=1, n=3)
-        observe(state, (1,), {0: 1}, {0: 2})
+        state.record(0, 1, 2)
         assert state.r_hat[0] == [0.0, 0.0, 1.0]
-        observe(state, (1,), {0: 1}, {})  # success that exits
+        state.record(0, 1, None)  # success that exits
         assert state.r_hat[0] == [0.0, 0.0, 0.5]
-
-    def test_mismatch_rejected(self):
-        state = PolicyState(k=2, n=1)
-        with pytest.raises(ObservationMismatch):
-            observe(state, (1, 0), {1: 1}, {})
 
 
 class TestPolicyHandle:

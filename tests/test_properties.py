@@ -13,7 +13,7 @@ from clqsim.model import (
     ScheduleSet,
     ScheduleTable,
     SingleQueueInstance,
-    effective_service_rate,
+    net_rate_matrix,
     single_to_network,
     structure_constants,
     traffic_slackness,
@@ -83,7 +83,7 @@ class TestSlacknessAgreement:
         phi = np.asarray(sol.witness)
         assert phi.min() >= -1e-9
         assert phi.sum() == pytest.approx(1.0, abs=1e-9)
-        served = effective_service_rate(inst, sol.witness)
+        served = net_rate_matrix(inst) @ phi
         lam = np.asarray(inst.arrivals.means)
         assert (np.asarray(served) >= lam + sol.epsilon - 1e-9).all()
 
