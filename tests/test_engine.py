@@ -120,10 +120,9 @@ class TestSeedBlockUniforms:
 class TestRunSingle:
     def test_no_arrivals_stays_empty(self):
         inst = SingleQueueInstance(3, 0.0, (0.5, 0.5, 0.5))
-        for policy in ("ucb", "oracle-best"):
-            tr = run_single(inst, policy, 50, 0)
-            assert not tr.q.any()
-            assert not tr.schedule.any()
+        tr = run_single(inst, "ucb", 50, 0)
+        assert not tr.q.any()
+        assert not tr.schedule.any()
 
     def test_pure_accumulation(self):
         inst = SingleQueueInstance(1, 1.0, (0.0,))
@@ -143,10 +142,6 @@ class TestRunSingle:
         assert np.array_equal(a.schedule, b.schedule)
         assert np.array_equal(a.services, b.services)
         assert np.array_equal(a.arrivals, b.arrivals)
-        # Common random numbers: the coupling's auxiliary queue, one server of
-        # rate mu* - eps/2 under oracle-best, draws the same arrivals.
-        aux = SingleQueueInstance(1, inst.lam, (inst.mu_star - slackness_single(inst) / 2.0,))
-        assert np.array_equal(run_single(aux, "oracle-best", 500, 11).arrivals, a.arrivals)
 
     def test_unit_steps(self):
         tr = run_single(figure1_instance(), "round-robin", 500, 5)
@@ -329,6 +324,28 @@ class TestRunDispatcher:
         assert single.q.shape == (51, 1)
         net = run(tandem_instance(2, (0.8, 0.6), 0.5), "bp-ucb", 50, 0)
         assert net.q.shape == (51, 2)
+
+
+def _auxiliary(inst):
+    """The coupling's auxiliary queue: one server of rate mu* - eps/2."""
+    return SingleQueueInstance(1, inst.lam, (inst.mu_star - slackness_single(inst) / 2.0,))
+
+
+class TestCoupledPair:
+    # The coupled pair is a UCB run and an oracle-best run of the auxiliary
+    # queue under the same seed; common random numbers tie them together.
+    def test_shared_arrivals(self):
+        inst = figure1_instance()
+        primary = run_single(inst, "ucb", 300, 2)
+        auxiliary = run_single(_auxiliary(inst), "oracle-best", 300, 2)
+        assert np.array_equal(primary.arrivals, auxiliary.arrivals)
+
+    def test_zero_arrivals_both_empty(self):
+        inst = SingleQueueInstance(2, 0.0, (0.5, 0.7))
+        primary = run_single(inst, "ucb", 100, 0)
+        auxiliary = run_single(_auxiliary(inst), "oracle-best", 100, 0)
+        assert not primary.q.any()
+        assert not auxiliary.q.any()
 
 
 class TestUcbQueuePaths:
