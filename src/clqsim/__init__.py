@@ -32,10 +32,7 @@ from .policies import (
     Runner,
     backpressure_select,
     feasible_schedules,
-    lcb_transition,
     maxweight_select,
-    ucb_index,
-    ucb_select,
 )
 from .engine import (
     RandomSource,
@@ -58,13 +55,13 @@ from .metrics import (
     TheoremBounds,
     clq_details,
     clq_estimate,
-    delta_loss,
     delta_series,
     fold_series,
     lyapunov_report,
     sar_multi,
     sar_single,
-    schedule_weight,
+    render_series_block,
+    series_blocks,
     series_row,
     series_to_csv,
     theorem_bounds,

@@ -9,8 +9,10 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -34,6 +36,8 @@ from .metrics import (
     clq_details,
     fold_series,
     lyapunov_report,
+    render_series_block,
+    series_blocks,
     series_row,
     series_to_csv,
     theorem_bounds,
@@ -235,13 +239,15 @@ def _batch_jobs(cfg: ExperimentConfig, instances, policies, traces: bool) -> lis
     ]
 
 
-def _fan_out(fn, jobs: list) -> list:
-    """fn over jobs, results in job order, on up to CLQ_WORKERS processes."""
+def _fan_out(fn, jobs: list):
+    """fn over jobs, yielded in job order as they finish, on up to CLQ_WORKERS
+    processes; one worker runs them inline, with no pool and no pickling."""
     workers = _workers(len(jobs))
     if workers == 1:
-        return [fn(j) for j in jobs]
+        yield from map(fn, jobs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=1))
+        yield from pool.map(fn, jobs, chunksize=1)
 
 
 def _trace_path(out_dir: str, policy: str, seed: int) -> str:
@@ -269,8 +275,7 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, ep
         job + (eps, cfg.include_delta)
         for job in _batch_jobs(cfg, instances, policies, write_traces)
     ]
-    results = _fan_out(_simulate_job, jobs)
-    results.sort(key=lambda r: (r[0], r[1]))
+    results = sorted(_fan_out(_simulate_job, jobs), key=lambda r: (r[0], r[1]))
     return {
         policy: fold_series(cfg.horizon, (r[2:] for r in results if r[0] == policy))
         for policy in policies
@@ -326,23 +331,39 @@ def cmd_simulate(args) -> int:
     series = run_batch(cfg, instances, policies, cfg.write_traces, eps)
     os.makedirs(cfg.out_dir, exist_ok=True)
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
-    outputs = {"series": {}, "traces": {}}
-    for policy in policies:
-        path = os.path.join(cfg.out_dir, f"series_{policy.replace(':', '-')}.csv")
-        series_to_csv(series[policy], path, bench if policy != cfg.benchmark else None)
-        outputs["series"][policy] = os.path.basename(path)
-        if cfg.write_traces:
-            outputs["traces"][policy] = [
-                os.path.basename(_trace_path(cfg.out_dir, policy, s))
-                for s in cfg.seeds
-            ]
-        print(f"wrote {path}")
+    manifest = _manifest(cfg, instances[0], policies)
+    blocks = {p: series_blocks(series[p], bench if p != cfg.benchmark else None) for p in policies}
+    # Every policy's row blocks fan out together; each file takes its own
+    # blocks in order, as they arrive.
+    jobs = [block for p in policies for block in blocks[p]]
+    with contextlib.closing(_fan_out(render_series_block, jobs)) as texts:
+        for policy in policies:
+            path = os.path.join(cfg.out_dir, manifest["outputs"]["series"][policy])
+            series_to_csv(series[policy], path, texts=itertools.islice(texts, len(blocks[policy])))
+            print(f"wrote {path}")
+    mpath = os.path.join(cfg.out_dir, "manifest.json")
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {mpath}")
+    return 0
+
+
+def _manifest(cfg: ExperimentConfig, instance, policies) -> dict:
+    """The manifest.json that simulate writes for cfg."""
     doc = dataclasses.asdict(cfg)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    manifest = {
+    outputs = {"series": {}, "traces": {}}
+    for policy in policies:
+        outputs["series"][policy] = f"series_{policy.replace(':', '-')}.csv"
+        if cfg.write_traces:
+            outputs["traces"][policy] = [
+                os.path.basename(_trace_path(cfg.out_dir, policy, s)) for s in cfg.seeds
+            ]
+    return {
         "config": doc,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "instance": instance_to_dict(instances[0]),
+        "instance": instance_to_dict(instance),
         "outputs": outputs,
         "versions": {
             "clqsim": __version__,
@@ -350,12 +371,32 @@ def cmd_simulate(args) -> int:
             "python": platform.python_version(),
         },
     }
-    mpath = os.path.join(cfg.out_dir, "manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {mpath}")
-    return 0
+
+
+def _output_failures(cfg: ExperimentConfig, instance, policies) -> list:
+    """Check simulate's manifest.json and series files against cfg.  Like the
+    trace-file comparison, these file checks add nothing to the check count."""
+    want = json.loads(json.dumps(_manifest(cfg, instance, policies)))  # as read back
+    series = want["outputs"]["series"]
+    failures = []
+    try:
+        with open(os.path.join(cfg.out_dir, "manifest.json")) as fh:
+            got = json.load(fh)
+    except (OSError, ValueError) as exc:
+        failures.append(("manifest", "-", "-", f"unreadable manifest.json: {exc}"))
+    else:
+        for key in ("config", "config_sha256", "instance", "outputs"):
+            mine, theirs = got.get(key) if isinstance(got, dict) else None, want[key]
+            if mine == theirs:
+                continue
+            if isinstance(mine, dict) and isinstance(theirs, dict):  # name the first differing field
+                sub = next(k for k in sorted(mine | theirs) if mine.get(k) != theirs.get(k))
+                key, mine, theirs = f"{key}.{sub}", mine.get(sub), theirs.get(sub)
+            failures.append(("manifest", "-", "-", f"{key} {mine!r} differs from the config ({theirs!r})"))
+    for policy, name in series.items():
+        if not os.path.exists(os.path.join(cfg.out_dir, name)):
+            failures.append(("series-file", policy, "-", f"missing series file {name}"))
+    return failures
 
 
 def cmd_clq(args) -> int:
@@ -379,13 +420,7 @@ def cmd_clq(args) -> int:
     if eps is not None:
         tb = theorem_bounds(instances[0], eps)
         print(f"bounds at epsilon = {eps!r}:")
-        for name, val in (
-            ("ucb_clq_upper", tb.ucb_clq_upper),
-            ("mw_clq_upper", tb.mw_clq_upper),
-            ("bp_clq_upper", tb.bp_clq_upper),
-            ("single_lower", tb.single_lower),
-            ("optimal_avg_upper", tb.optimal_avg_upper),
-        ):
+        for name, val in dataclasses.asdict(tb).items():  # in field order
             print(f"  {name} = {'n/a' if val is None else repr(val)}")
     else:
         print("bounds: skipped (no positive slackness available)")
@@ -394,14 +429,10 @@ def cmd_clq(args) -> int:
 
 def cmd_make_instance(args) -> int:
     spec = {"family": args.family}
-    for key in ("n", "k", "seed"):
+    for key in ("n", "k", "seed", "epsilon", "lambda0"):
         val = getattr(args, key)
         if val is not None:
             spec[key] = val
-    if args.epsilon is not None:
-        spec["epsilon"] = args.epsilon
-    if args.lambda0 is not None:
-        spec["lambda0"] = args.lambda0
     if args.mu is not None:
         spec["mu"] = [float(v) for v in args.mu.split(",")]
     members = build_family(spec)
@@ -466,14 +497,17 @@ def _verify_job(args):
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
-    # Only simulate writes trace files, and it takes one instance.
-    traces = cfg.write_traces and len(instances) == 1
-    jobs = _batch_jobs(cfg, instances, _run_policies(cfg), traces)
+    # Only simulate writes output files, and it takes one instance.
+    simulated = len(instances) == 1
+    policies = _run_policies(cfg)
+    jobs = _batch_jobs(cfg, instances, policies, cfg.write_traces and simulated)
     failures = []
     checked = 0
     for job_failures, job_checks in _fan_out(_verify_job, jobs):
         failures += job_failures
         checked += job_checks
+    if simulated:
+        failures += _output_failures(cfg, instances[0], policies)
     single = [i for i in instances if isinstance(i, SingleQueueInstance) and i.stabilizable]
     if single and cfg.coupling_seeds > 0:
         p = _coupling_pvalue(single[0], cfg.coupling_seeds)

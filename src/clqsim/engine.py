@@ -29,9 +29,11 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) in 64-bit limbs.
 _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-# Rows of at most this many draws are drawn by _pcg64_block.  On 1024 seeds it
-# costs about 27 ns per draw and seed, and numpy's PCG64 about 1.6 us per seed.
+# _pcg64_block draws rows of at most BLOCK_DRAWS in blocks of at least
+# BLOCK_SEEDS_PER_DRAW seeds per draw: it costs 40-60 us per draw plus 27 ns per
+# draw and seed, numpy's PCG64 5-7 us per seed (crossover near 16 seeds a draw).
 BLOCK_DRAWS = 32
+BLOCK_SEEDS_PER_DRAW = 16
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,8 @@ def seed_block_uniforms(seeds, stream: str, *shape: int) -> np.ndarray:
     """Row i is RandomSource(seeds[i], stream).uniforms(*shape), bit for bit.
     Below 2**128 every seed's SeedSequence entropy is four 32-bit words and
     the stream id, so the hash runs once per block in uint32 numpy arithmetic.
-    _pcg64_block draws rows of at most BLOCK_DRAWS, numpy's PCG64 longer ones."""
+    _pcg64_block draws rows of at most BLOCK_DRAWS when the block holds at
+    least BLOCK_SEEDS_PER_DRAW seeds per draw; numpy's PCG64 draws the rest."""
     seeds = [int(s) for s in seeds]
     if any(s < 0 or s >> 128 for s in seeds):
         raise ValueError("seeds must lie in [0, 2**128)")
@@ -119,7 +122,8 @@ def seed_block_uniforms(seeds, stream: str, *shape: int) -> np.ndarray:
     state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
     words = state.astype("<u4").view("<u8").astype(np.uint64)
     out = np.empty((len(seeds), math.prod(shape)))
-    if out.shape[1] <= BLOCK_DRAWS:
+    draws = out.shape[1]
+    if draws <= BLOCK_DRAWS and len(seeds) >= BLOCK_SEEDS_PER_DRAW * draws:
         _pcg64_block(words, out)
     else:
         for w, row in zip(words, out):
@@ -434,11 +438,14 @@ def replay_error(trace: Trace) -> str | None:
 
 
 def _masks(events: np.ndarray) -> list[int]:
-    """Per-row bitmask of a 0/1 event array: bit i is column i."""
-    masks = [0] * events.shape[0]
-    rows, cols = np.nonzero(events)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        masks[r] |= 1 << c
+    """Per-row bitmask of a 0/1 event array with at least one column: bit i
+    is column i.  Rows pack into little-endian 64-bit limbs, which combine
+    as Python ints, so any column count is exact."""
+    packed = np.packbits(events, axis=1, bitorder="little")
+    limbs = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
+    masks, *rest = limbs.T.tolist()
+    for i, limb in enumerate(rest, 1):
+        masks = [m | v << 64 * i for m, v in zip(masks, limb)]
     return masks
 
 

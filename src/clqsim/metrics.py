@@ -151,17 +151,9 @@ def sar_single(trace: Trace, instance: SingleQueueInstance, epsilon: float) -> n
     return np.cumsum(inc)
 
 
-def schedule_weight(q, schedule, instance, networked: bool) -> float:
-    """True-rate weight of a schedule at queue vector q.
-
-    The networked variant charges each selected server for the load its
-    transitions push back into the queues.
-    """
-    servers = [srv for srv, on in enumerate(schedule) if on]
-    return _weight(as_network(instance), servers, q, networked)
-
-
 def _weight(net, servers, q, networked: bool, mu=None) -> float:
+    """True-rate weight of the servers at queue vector q; networked charges
+    each server for the load its transitions push back into the queues."""
     mu = net.mu if mu is None else mu
     w = 0.0
     for srv in servers:
@@ -173,35 +165,10 @@ def _weight(net, servers, q, networked: bool, mu=None) -> float:
     return w
 
 
-def _best_weight(net, q, q_scaled, networked: bool) -> float:
-    """Largest weight at q_scaled over the schedules that fit queue vector q."""
-    table = net.schedule_table
-    best = -math.inf
-    for servers, need in zip(table.servers, table.demand):
-        if all(q[i] >= c for i, c in need):
-            best = max(best, _weight(net, servers, q_scaled, networked))
-    return best
-
-
-def delta_loss(q, chosen, instance, networked: bool) -> float:
-    """Weight loss of the chosen schedule against the true-rate argmax,
-    normalized by the longest queue; 0 on an empty system."""
-    qmax = max(q)
-    if qmax == 0:
-        return 0.0
-    # Queue lengths are divided by ||q||_inf before weighing, which keeps
-    # the single-queue case exact: q/q is exactly 1.0.
-    q_scaled = [qi / qmax for qi in q]
-    net = as_network(instance)
-    return _best_weight(net, q, q_scaled, networked) - schedule_weight(
-        q_scaled, chosen, net, networked
-    )
-
-
 def delta_series(trace: Trace) -> np.ndarray:
-    """Per-period delta_loss along a trace, against the trace's own instance,
-    bit for bit; networks take whole-horizon columns, in O(horizon) memory
-    per schedule."""
+    """Per-period delta_loss (tests/reference.py) along a trace, against the
+    trace's own instance, bit for bit; networks take whole-horizon columns,
+    in O(horizon) memory per schedule."""
     net = as_network(trace.instance)
     networked = not net.exit_only
     h = trace.horizon
@@ -354,35 +321,55 @@ class TheoremBounds:
     optimal_avg_upper: float | None
 
 
-def series_to_csv(series: MetricSeries, path: str, benchmark: MetricSeries | None = None) -> None:
-    """Write the per-horizon metric table.
+SERIES_BLOCK = 8192  # rows per rendered block of a series CSV
+_SERIES_HEADER = "T,avg_queue_mean,avg_queue_se,clq_running,sar_mean,sar_se,delta_mean\r\n"
+
+
+def series_blocks(series: MetricSeries, benchmark: MetricSeries | None = None) -> list[tuple]:
+    """The row blocks of a series CSV, SERIES_BLOCK rows each: (first row
+    index, column slices, None for an absent column), in file order.
 
     clq_running is the running peak of the benchmark-adjusted average,
-    so its final entry is the clq_estimate of the series pair.  Floats
-    print as shortest round-trip decimals; absent columns stay empty.
+    so its final entry is the clq_estimate of the series pair.
     """
-    adjusted = _clq_curve(series, benchmark)
-    running = np.maximum.accumulate(adjusted)
-    cols = [
-        ("avg_queue_mean", series.avg_queue_mean),
-        ("avg_queue_se", series.avg_queue_se),
-        ("clq_running", running),
-        ("sar_mean", series.sar_mean),
-        ("sar_se", series.sar_se),
-        ("delta_mean", series.delta_mean),
+    running = np.maximum.accumulate(_clq_curve(series, benchmark))
+    cols = [series.avg_queue_mean, series.avg_queue_se, running]
+    cols += [series.sar_mean, series.sar_se, series.delta_mean]
+    return [
+        (lo, [None if col is None else col[lo : lo + SERIES_BLOCK] for col in cols])
+        for lo in range(0, series.horizon, SERIES_BLOCK)
     ]
+
+
+def render_series_block(block: tuple) -> str:
+    """The CRLF-ended CSV rows of one series_blocks block.  Floats print as
+    shortest round-trip decimals (repr), absent columns stay empty."""
+    lo, cols = block
+    n = len(cols[0])
+    cells = [[""] * n if col is None else _run_cells(col) for col in cols]
+    rows = map(",".join, zip(map(str, range(lo + 1, lo + n + 1)), *cells))
+    return "\r\n".join(rows) + "\r\n"
+
+
+def _run_cells(col) -> list[str]:
+    """repr of each entry, called once per run of neighbours equal in their
+    int64 bits, so -0.0 and 0.0 (and NaN payloads) are never merged."""
+    col = np.ascontiguousarray(col, dtype=np.float64)
+    bits = col.view(np.int64)
+    new = np.concatenate(([True], bits[1:] != bits[:-1]))
+    texts = np.array(list(map(repr, col[new].tolist())), dtype=object)
+    return texts[np.cumsum(new) - 1].tolist()
+
+
+def series_to_csv(series: MetricSeries, path: str, benchmark: MetricSeries | None = None, texts=None) -> None:
+    """Write the per-horizon metric table: a header, then the rendered
+    series_blocks.  texts are those blocks already rendered, in order;
+    when None they are rendered here, one block at a time."""
+    if texts is None:
+        texts = map(render_series_block, series_blocks(series, benchmark))
     with open(path, "w", newline="") as fh:
-        fh.write("T," + ",".join(name for name, _ in cols) + "\r\n")
-        for lo in range(0, series.horizon, 2048):  # by blocks, so memory stays flat in horizon
-            hi = min(lo + 2048, series.horizon)
-            cells = [
-                map(repr, np.asarray(col[lo:hi], dtype=np.float64).tolist())
-                if col is not None
-                else [""] * (hi - lo)
-                for _, col in cols
-            ]
-            lines = map(",".join, zip(map(str, range(lo + 1, hi + 1)), *cells))
-            fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(_SERIES_HEADER)
+        fh.writelines(texts)
 
 
 def theorem_bounds(instance, epsilon: float) -> TheoremBounds:

@@ -51,19 +51,9 @@ class PolicyState:
         if not self.trans:
             self.trans = [[0] * self.n for _ in range(self.k)]
 
-    @property
-    def mu_hat(self) -> list[float]:
-        return [s / c if c else 0.0 for s, c in zip(self.succ, self.counts)]
-
-    @property
-    def r_hat(self) -> list[list[float]]:
-        return [
-            [r / c if c else 0.0 for r in row]
-            for row, c in zip(self.trans, self.counts)
-        ]
-
     def ucb_indices(self, t: int) -> list[float]:
-        """ucb_index of every server at period t, with 2 log t taken once."""
+        """Optimistic service-rate index of every server at period t, clamped
+        into [0, 1] (1.0 while untried), with 2 log t taken once."""
         two_log = 2.0 * math.log(t)
         return [
             min(1.0, s / c + math.sqrt(two_log / c)) if c else 1.0
@@ -77,28 +67,6 @@ class PolicyState:
             self.succ[server] += 1
             if target is not None:
                 self.trans[server][target] += 1
-
-
-def ucb_index(mu_hat: float, count: int, t: float) -> float:
-    """Optimistic service-rate index, clamped into [0, 1]."""
-    if count == 0:
-        return 1.0
-    return min(1.0, mu_hat + math.sqrt(2.0 * math.log(t) / count))
-
-
-def lcb_transition(r_hat: float, count: int, t: float) -> float:
-    """Pessimistic transition-rate index, clamped into [0, 1]."""
-    if count == 0:
-        return 0.0
-    return max(0.0, r_hat - math.sqrt(2.0 * math.log(t) / count))
-
-
-def ucb_select(state: PolicyState, q: int) -> int | None:
-    """Server with the highest optimistic index; None when the queue is empty."""
-    if q == 0:
-        return None
-    idx = state.ucb_indices(state.t)
-    return idx.index(max(idx))
 
 
 def feasible_schedules(table: ScheduleTable, q: Sequence[int]) -> list[tuple[int, ...]]:
@@ -253,7 +221,7 @@ class Runner:
         return self._pick(q, t) if q else None
 
     def _ucb_server(self, q: int, t: int) -> int:
-        """ucb_select at period t: ucb_indices' arithmetic, a first-index argmax
+        """UCB choice at period t: ucb_indices' arithmetic, a first-index argmax
         by strict >, and the first index at the clamp 1.0 wins at once.  A full
         scan bounds the other indices up to period until (an index cannot fall
         while t grows and its tallies stand; 1e-9 covers math.log's last ulp), so
@@ -298,7 +266,8 @@ class Runner:
 
     def _backpressure_ucb(self, q: Sequence[int], t: int) -> tuple[int, ...]:
         """BackPressure on UCB rates and LCB transitions; one sqrt(2 log t / c)
-        per server serves both, with ucb_index's and lcb_transition's arithmetic."""
+        per server serves both, with ucb_indices' arithmetic and the transition
+        LCB max(0, r/c - sqrt(2 log t / c)), 0 while untried."""
         state = self.state
         state.t = t
         two_log, mu_bar, r_low = 2.0 * math.log(t), [], []

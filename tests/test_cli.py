@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through main(argv)."""
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from clqsim.cli import ConfigError, ExperimentConfig, _coupling_pvalue, main, run_batch
 from clqsim.engine import run
 from clqsim.instances import figure1_instance, lower_bound_family, tandem_instance
-from clqsim.metrics import time_averaged_series
+from clqsim.metrics import SERIES_BLOCK, series_to_csv, time_averaged_series
 from clqsim.model import (
     ArrivalModel,
     NetworkInstance,
@@ -169,6 +170,40 @@ class TestSimulate:
         assert main(["simulate", "-c", cfg]) == 0
         assert (tmp_path / "out" / "series_ucb.csv").read_bytes() == serial
 
+    def test_every_series_file_worker_invariant(self, tmp_path, fig1_file, monkeypatch):
+        # Three row blocks per file, the last one short; with two workers every
+        # file's blocks are rendered in the pool.
+        monkeypatch.setattr("clqsim.cli.ProcessPoolExecutor", _CountingPool)
+        monkeypatch.setattr(_CountingPool, "mapped", [])
+        cfg = _config(
+            tmp_path,
+            policies=["ucb", "round-robin"],
+            benchmark="oracle-best",
+            epsilon=0.1,
+            include_delta=True,
+            horizon=2 * SERIES_BLOCK + 1235,
+            seeds=[0, 1],
+            write_traces=False,
+        )
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CLQ_WORKERS", workers)
+            assert main(["simulate", "-c", cfg]) == 0
+            out = tmp_path / "out"
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outs[0]) == [
+            "manifest.json", "series_oracle-best.csv", "series_round-robin.csv", "series_ucb.csv"
+        ]
+        assert outs[0] == outs[1]
+        assert ("render_series_block", 9) in _CountingPool.mapped
+        # Each file holds its own policy's series, as series_to_csv renders it inline.
+        policies = ["ucb", "round-robin", "oracle-best"]
+        series = run_batch(ExperimentConfig.from_json(cfg), [figure1_instance()], policies, False, 0.1)
+        for policy in policies:
+            bench = series["oracle-best"] if policy != "oracle-best" else None
+            series_to_csv(series[policy], str(tmp_path / "inline.csv"), bench)
+            assert (tmp_path / "inline.csv").read_bytes() == outs[0][f"series_{policy}.csv"], policy
+
     def test_unknown_key_exit_one(self, tmp_path, fig1_file):
         cfg = _config(tmp_path, horizons=5)
         assert main(["simulate", "-c", cfg]) == 1
@@ -176,6 +211,17 @@ class TestSimulate:
     def test_unknown_policy_exit_one(self, tmp_path, fig1_file):
         cfg = _config(tmp_path, policies=["greedy"])
         assert main(["simulate", "-c", cfg]) == 1
+
+
+class _CountingPool(ProcessPoolExecutor):
+    """A real process pool that records (function name, job count) per map."""
+
+    mapped: list = []
+
+    def map(self, fn, jobs, chunksize=1):
+        jobs = list(jobs)
+        self.mapped.append((fn.__name__, len(jobs)))
+        return super().map(fn, jobs, chunksize=chunksize)
 
 
 class TestBatchFold:
@@ -401,6 +447,59 @@ class TestVerify:
             ]
         else:
             assert outs[0].endswith("all checks passed (65 checks)\n")
+
+    @staticmethod
+    def _edit_manifest(out, edit):
+        path = out / "manifest.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize(
+        "edit, fail",
+        [
+            (
+                lambda out: TestVerify._edit_manifest(
+                    out, lambda doc: doc.update(config_sha256="0" * 64)
+                ),
+                "FAIL check=manifest policy=- seed=-: config_sha256 '000",
+            ),
+            (
+                lambda out: TestVerify._edit_manifest(
+                    out, lambda doc: doc["config"].update(horizon=5)
+                ),
+                "FAIL check=manifest policy=- seed=-: config.horizon 5 differs from the config (300)",
+            ),
+            (
+                lambda out: os.remove(out / "series_oracle-best.csv"),
+                "FAIL check=series-file policy=oracle-best seed=-: "
+                "missing series file series_oracle-best.csv",
+            ),
+        ],
+        ids=["zeroed-config-sha256", "manifest-horizon-5", "deleted-benchmark-series"],
+    )
+    def test_edited_outputs_fail(self, tmp_path, fig1_file, capsys, edit, fail):
+        cfg = _config(
+            tmp_path, benchmark="oracle-best", epsilon=0.1, seeds={"base": 0, "count": 2}, horizon=300
+        )
+        assert main(["simulate", "-c", cfg]) == 0
+        capsys.readouterr()
+        assert main(["verify", "-c", cfg]) == 0
+        assert capsys.readouterr().out.endswith("all checks passed (33 checks)\n")
+        edit(tmp_path / "out")
+        assert main(["verify", "-c", cfg]) == 3
+        fails = self._fails(capsys)
+        assert len(fails) == 1 and fails[0].startswith(fail), fails
+
+    def test_missing_manifest_fails(self, tmp_path, fig1_file, capsys):
+        cfg = _config(tmp_path, write_traces=False)
+        assert main(["simulate", "-c", cfg]) == 0
+        os.remove(tmp_path / "out" / "manifest.json")
+        capsys.readouterr()
+        assert main(["verify", "-c", cfg]) == 3
+        fails = self._fails(capsys)
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL check=manifest policy=- seed=-: unreadable manifest.json: ")
 
     def test_coupling_pvalue_pinned(self):
         inst = SingleQueueInstance(2, 0.5, (0.3, 0.7))

@@ -1,6 +1,7 @@
 """Dynamics, determinism, replay, embeddings, and the lockstep UCB kernel."""
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from clqsim.model import (
     slackness_single,
 )
 from clqsim.policies import PolicyError
+from reference import mu_hat_of
 
 
 class TestRandomSource:
@@ -106,10 +108,38 @@ class TestSeedBlockUniforms:
         assert seed_block_uniforms([], stream, *shape).shape == (0, *shape)
 
     def test_short_rows_build_no_generator(self, monkeypatch):
-        seeds = self.TOP[:8]
+        seeds = [2**128 - 1 - i for i in range(engine.BLOCK_SEEDS_PER_DRAW * 25)]
         want = [RandomSource(s, "service").uniforms(5, 5) for s in seeds]
         monkeypatch.setattr(np.random, "PCG64", None)
         assert np.array_equal(seed_block_uniforms(seeds, "service", 5, 5), want)
+
+    @staticmethod
+    def _spy_blocks(monkeypatch) -> list:
+        """Record the seed count of every _pcg64_block call."""
+        calls, block = [], engine._pcg64_block
+        monkeypatch.setattr(engine, "_pcg64_block", lambda w, out: calls.append(len(w)) or block(w, out))
+        return calls
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (5, 2), (5, 5), (engine.BLOCK_DRAWS,)])
+    def test_both_sides_of_block_seeds(self, monkeypatch, shape):
+        """Short rows come from the block LCG from BLOCK_SEEDS_PER_DRAW seeds
+        per draw on, and from numpy's PCG64 below; both equal RandomSource."""
+        at = engine.BLOCK_SEEDS_PER_DRAW * math.prod(shape)
+        calls = self._spy_blocks(monkeypatch)
+        for n in (at - 1, at):
+            seeds = [2**128 - 1 - i for i in range(n - 1)] + [0]
+            got = seed_block_uniforms(seeds, "service", *shape)
+            for row, seed in zip(got, seeds):
+                assert np.array_equal(row, RandomSource(seed, "service").uniforms(*shape)), seed
+        assert calls == [at]
+
+    @pytest.mark.parametrize("mode", ["shared", "independent"])
+    def test_coupling_blocks_take_the_block_lcg(self, monkeypatch, mode):
+        # The coupling check's 10**4 seeds run as nine 1024-seed blocks and a
+        # 784-seed tail, each drawing its arrival and service rows in one pass.
+        calls = self._spy_blocks(monkeypatch)
+        ucb_queue_paths(figure1_instance(), 5, range(10_000), mode)
+        assert calls == [n for n in [1024] * 9 + [784] for _ in ("arrival", "service")]
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
     def test_seed_domain(self, seed):
@@ -175,7 +205,7 @@ class TestRunSingle:
             won = int(tr.services[:, k].sum())
             assert state.counts[k] == served
             if served:
-                assert state.mu_hat[k] == won / served
+                assert mu_hat_of(state)[k] == won / served
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
@@ -546,3 +576,28 @@ class TestTraceCsvBytes:
         trace_to_csv(tr, str(path))
         assert path.read_bytes() == _reference_csv(tr)
         assert max(int(line.split(",")[2]) for line in trace_csv_lines(tr)[1:]) >= 2**63
+
+
+def _masks_row_loop(events) -> list[int]:
+    """The per-event loop engine._masks replaced."""
+    masks = [0] * events.shape[0]
+    rows, cols = np.nonzero(events)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        masks[r] |= 1 << c
+    return masks
+
+
+class TestMasks:
+    @pytest.mark.parametrize("cols", [1, 5, 63, 64, 70, 129])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_equals_event_loop(self, cols, density):
+        rng = np.random.default_rng(cols)
+        events = (rng.random((257, cols)) < density).astype(np.uint8)
+        got = engine._masks(events)
+        assert got == _masks_row_loop(events)
+        assert all(type(m) is int for m in got)
+        if density == 1.0:
+            assert got == [2**cols - 1] * 257
+
+    def test_no_rows(self):
+        assert engine._masks(np.zeros((0, 5), dtype=np.uint8)) == []

@@ -7,16 +7,17 @@ import pytest
 from clqsim.engine import Trace, run, run_network, run_single
 from clqsim.instances import figure1_instance, tandem_instance
 from clqsim.metrics import (
+    SERIES_BLOCK,
     EmptyInput,
     GridMismatch,
+    MetricSeries,
     clq_details,
     clq_estimate,
-    delta_loss,
     delta_series,
     lyapunov_report,
+    render_series_block,
     sar_multi,
     sar_single,
-    schedule_weight,
     series_row,
     series_to_csv,
     theorem_bounds,
@@ -30,6 +31,7 @@ from clqsim.model import (
     as_network,
     single_to_network,
 )
+from reference import delta_loss, schedule_weight
 from test_trace_digests import POLICIES as DIGEST_POLICIES, SEEDS as DIGEST_SEEDS
 from test_trace_digests import _instances as digest_instances
 
@@ -388,17 +390,57 @@ class TestSeriesCsv:
         bench = bench if with_bench else None
         path = tmp_path / "series.csv"
         series_to_csv(series, str(path), benchmark=bench)
-        adjusted = series.avg_queue_mean - (0.0 if bench is None else bench.avg_queue_mean)
-        cols = (
-            series.avg_queue_mean,
-            series.avg_queue_se,
-            np.maximum.accumulate(adjusted),
-            series.sar_mean,
-            series.sar_se,
-            series.delta_mean,
+        assert path.read_bytes() == _row_loop_csv(series, bench)
+
+    def test_bytes_equal_row_loop_across_blocks(self, tmp_path):
+        # Three blocks, the last one short, on every column.
+        horizon = 2 * SERIES_BLOCK + 1235
+        inst = figure1_instance()
+        series = time_averaged_series(
+            [run_single(inst, "ucb", horizon, s) for s in range(3)], 0.1, include_delta=True
         )
-        want = "T,avg_queue_mean,avg_queue_se,clq_running,sar_mean,sar_se,delta_mean\r\n"
-        for i in range(series.horizon):
-            vals = ["" if col is None else repr(float(col[i])) for col in cols]
-            want += f"{i + 1}," + ",".join(vals) + "\r\n"
-        assert path.read_bytes() == want.encode()
+        bench = time_averaged_series([run_single(inst, "oracle-best", horizon, s) for s in range(3)])
+        path = tmp_path / "series.csv"
+        for b in (bench, None):
+            series_to_csv(series, str(path), benchmark=b)
+            assert path.read_bytes() == _row_loop_csv(series, b)
+
+    def test_run_rendering_hand_built(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        signed_nan = np.frombuffer(np.array([0x7FF8000000000001], dtype=np.int64).tobytes())[0]
+        mean = np.array([0.0, -0.0, -0.0, 0.0, nan, nan, signed_nan, inf, inf, -inf, 1.5, 1.5])
+        one_run = np.full(len(mean), 2.5)
+        series = MetricSeries(len(mean), 2, mean, np.zeros(len(mean)), sar_mean=one_run, sar_se=-mean)
+        block = render_series_block((0, [mean, mean, mean, one_run, -mean, None]))
+        rows = [line.split(",") for line in block.split("\r\n")[:-1]]
+        assert [r[1] for r in rows] == [
+            "0.0", "-0.0", "-0.0", "0.0", "nan", "nan", "nan", "inf", "inf", "-inf", "1.5", "1.5"
+        ]
+        assert [r[4] for r in rows] == ["2.5"] * len(mean)
+        assert [r[5] for r in rows][:4] == ["-0.0", "0.0", "0.0", "-0.0"]
+        assert [r[0] for r in rows] == [str(t) for t in range(1, len(mean) + 1)]
+        assert all(r[6] == "" for r in rows)
+        assert render_series_block((41, [mean[1:2], mean[:1], mean[4:5], None, None, None])) == (
+            "42,-0.0,0.0,nan,,,\r\n"
+        )
+        path = tmp_path / "hand.csv"
+        series_to_csv(series, str(path))
+        assert path.read_bytes() == _row_loop_csv(series, None)
+
+
+def _row_loop_csv(series, bench) -> bytes:
+    """A series CSV as the per-row loop wrote it: every float through repr."""
+    adjusted = series.avg_queue_mean - (0.0 if bench is None else bench.avg_queue_mean)
+    cols = (
+        series.avg_queue_mean,
+        series.avg_queue_se,
+        np.maximum.accumulate(adjusted),
+        series.sar_mean,
+        series.sar_se,
+        series.delta_mean,
+    )
+    want = "T,avg_queue_mean,avg_queue_se,clq_running,sar_mean,sar_se,delta_mean\r\n"
+    for i in range(series.horizon):
+        vals = ["" if col is None else repr(float(col[i])) for col in cols]
+        want += f"{i + 1}," + ",".join(vals) + "\r\n"
+    return want.encode()

@@ -20,11 +20,9 @@ from clqsim.policies import (
     Runner,
     backpressure_select,
     feasible_schedules,
-    lcb_transition,
     maxweight_select,
-    ucb_index,
-    ucb_select,
 )
+from reference import lcb_transition, mu_hat_of, r_hat_of, ucb_index, ucb_select
 
 
 class TestUcbIndex:
@@ -145,14 +143,14 @@ class TestObserve:
         state.succ = [1]
         state.record(0, 1, None)
         assert state.counts == [4]
-        assert state.mu_hat == [0.5]
+        assert mu_hat_of(state) == [0.5]
 
     def test_transition_indicator(self):
         state = PolicyState(k=1, n=3)
         state.record(0, 1, 2)
-        assert state.r_hat[0] == [0.0, 0.0, 1.0]
+        assert r_hat_of(state)[0] == [0.0, 0.0, 1.0]
         state.record(0, 1, None)  # success that exits
-        assert state.r_hat[0] == [0.0, 0.0, 0.5]
+        assert r_hat_of(state)[0] == [0.0, 0.0, 0.5]
 
 
 class TestPolicyHandle:

