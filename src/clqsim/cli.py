@@ -33,6 +33,7 @@ from .instances import (
     tandem_instance,
 )
 from .metrics import (
+    SERIES_BLOCK,
     clq_details,
     fold_series,
     lyapunov_report,
@@ -239,15 +240,21 @@ def _batch_jobs(cfg: ExperimentConfig, instances, policies, traces: bool) -> lis
     ]
 
 
-def _fan_out(fn, jobs: list):
-    """fn over jobs, yielded in job order as they finish, on up to CLQ_WORKERS
-    processes; one worker runs them inline, with no pool and no pickling."""
-    workers = _workers(len(jobs))
+@contextlib.contextmanager
+def _pool(n_jobs: int):
+    """A pool of _workers(n_jobs) processes for a command's fan-outs; None
+    when one worker runs them inline, with no pickling."""
+    workers = _workers(n_jobs)
     if workers == 1:
-        yield from map(fn, jobs)
+        yield None
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, jobs, chunksize=1)
+        yield pool
+
+
+def _fan_out(fn, jobs: list, pool):
+    """fn over jobs, in job order as they finish, on pool (None: inline)."""
+    return map(fn, jobs) if pool is None else pool.map(fn, jobs, chunksize=1)
 
 
 def _trace_path(out_dir: str, policy: str, seed: int) -> str:
@@ -262,8 +269,8 @@ def _simulate_job(args):
     return (policy, seed) + series_row(trace, eps, include_delta)
 
 
-def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, eps):
-    """Fan (member, policy, seed) jobs over a process pool and aggregate.
+def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, eps, pool=None):
+    """Fan (member, policy, seed) jobs over pool (None: inline) and aggregate.
 
     eps is the SaR slackness _run_epsilon resolved (None: no SaR column).
     Per-seed results are combined in sorted order so the aggregate floats
@@ -275,7 +282,7 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, ep
         job + (eps, cfg.include_delta)
         for job in _batch_jobs(cfg, instances, policies, write_traces)
     ]
-    results = sorted(_fan_out(_simulate_job, jobs), key=lambda r: (r[0], r[1]))
+    results = sorted(_fan_out(_simulate_job, jobs, pool), key=lambda r: (r[0], r[1]))
     return {
         policy: fold_series(cfg.horizon, (r[2:] for r in results if r[0] == policy))
         for policy in policies
@@ -328,15 +335,15 @@ def cmd_simulate(args) -> int:
     if len(instances) != 1:
         raise ConfigError("simulate expects a single instance; use clq for families")
     policies, eps = _run_policies(cfg), _run_epsilon(cfg, instances)
-    series = run_batch(cfg, instances, policies, cfg.write_traces, eps)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    bench = series.get(cfg.benchmark) if cfg.benchmark else None
-    manifest = _manifest(cfg, instances[0], policies)
-    blocks = {p: series_blocks(series[p], bench if p != cfg.benchmark else None) for p in policies}
-    # Every policy's row blocks fan out together; each file takes its own
-    # blocks in order, as they arrive.
-    jobs = [block for p in policies for block in blocks[p]]
-    with contextlib.closing(_fan_out(render_series_block, jobs)) as texts:
+    manifest = _manifest(cfg, instances[0], policies, args.config)
+    # One pool runs the batch, then every policy's series row blocks together;
+    # each file takes its own blocks in order, as they arrive.
+    with _pool(len(policies) * max(len(cfg.seeds), -(-cfg.horizon // SERIES_BLOCK))) as pool:
+        series = run_batch(cfg, instances, policies, cfg.write_traces, eps, pool)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        bench = series.get(cfg.benchmark) if cfg.benchmark else None
+        blocks = {p: series_blocks(series[p], bench if p != cfg.benchmark else None) for p in policies}
+        texts = _fan_out(render_series_block, [b for p in policies for b in blocks[p]], pool)
         for policy in policies:
             path = os.path.join(cfg.out_dir, manifest["outputs"]["series"][policy])
             series_to_csv(series[policy], path, texts=itertools.islice(texts, len(blocks[policy])))
@@ -349,9 +356,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _manifest(cfg: ExperimentConfig, instance, policies) -> dict:
-    """The manifest.json that simulate writes for cfg."""
+def _manifest(cfg: ExperimentConfig, instance, policies, config_path: str) -> dict:
+    """The manifest.json that simulate writes for cfg, read from config_path.
+    Its config echo (and so config_sha256) holds the instance path and
+    out_dir relative to the config file's directory, so that a result
+    directory moved or copied with its config still verifies."""
     doc = dataclasses.asdict(cfg)
+    for key in ("instance", "out_dir"):
+        if isinstance(doc[key], str):
+            doc[key] = os.path.relpath(doc[key], os.path.dirname(os.path.abspath(config_path)))
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     outputs = {"series": {}, "traces": {}}
     for policy in policies:
@@ -373,10 +386,10 @@ def _manifest(cfg: ExperimentConfig, instance, policies) -> dict:
     }
 
 
-def _output_failures(cfg: ExperimentConfig, instance, policies) -> list:
+def _output_failures(cfg: ExperimentConfig, instance, policies, config_path: str) -> list:
     """Check simulate's manifest.json and series files against cfg.  Like the
     trace-file comparison, these file checks add nothing to the check count."""
-    want = json.loads(json.dumps(_manifest(cfg, instance, policies)))  # as read back
+    want = json.loads(json.dumps(_manifest(cfg, instance, policies, config_path)))  # as read back
     series = want["outputs"]["series"]
     failures = []
     try:
@@ -403,7 +416,8 @@ def cmd_clq(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
     policies, eps = _run_policies(cfg), _run_epsilon(cfg, instances)
-    series = run_batch(cfg, instances, policies, False, eps)
+    with _pool(len(instances) * len(policies) * len(cfg.seeds)) as pool:
+        series = run_batch(cfg, instances, policies, False, eps, pool)
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
     if len(instances) > 1:
         print(f"family average over {len(instances)} members")
@@ -503,11 +517,12 @@ def cmd_verify(args) -> int:
     jobs = _batch_jobs(cfg, instances, policies, cfg.write_traces and simulated)
     failures = []
     checked = 0
-    for job_failures, job_checks in _fan_out(_verify_job, jobs):
-        failures += job_failures
-        checked += job_checks
+    with _pool(len(jobs)) as pool:
+        for job_failures, job_checks in _fan_out(_verify_job, jobs, pool):
+            failures += job_failures
+            checked += job_checks
     if simulated:
-        failures += _output_failures(cfg, instances[0], policies)
+        failures += _output_failures(cfg, instances[0], policies, args.config)
     single = [i for i in instances if isinstance(i, SingleQueueInstance) and i.stabilizable]
     if single and cfg.coupling_seeds > 0:
         p = _coupling_pvalue(single[0], cfg.coupling_seeds)

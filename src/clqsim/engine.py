@@ -201,33 +201,60 @@ def run_single(
         q_hist[1:] = c - np.minimum.accumulate(c) + arrive
         srv_hist = np.where(q_hist[:horizon] > 0, j, -1)
     else:
+        # The loop decides itself: round-robin (on throwaway tallies), or (every
+        # learner reduces to it on one queue) UCB with ucb_indices' arithmetic, a
+        # first-index argmax by strict > where an untried server or the first
+        # index at the clamp 1.0 wins at once.  A full scan bounds the other
+        # indices up to period until (an index cannot fall while t grows and
+        # its tallies stand; 1e-9 covers math.log's last ulp), so while alone
+        # (no other server pulled since), a leader index in (bound, 1.0) wins.
         u_srv = u_srv.tolist()
-        arr_list = arrive.tolist()
         q_list = [0] * (horizon + 1)
         srv_list = [-1] * horizon
-        svc_list = [0] * horizon
-        select = runner.select_server
-        q = 0
-        for t in range(1, horizon + 1):
-            if q > 0:
-                j = select(q, t)
-                if j is not None:
-                    if not 0 <= j < k:
-                        raise PolicyError(f"policy chose server {j} outside 0..{k - 1}")
-                    u = u_srv[t - 1] if shared else u_srv[t - 1][j]
-                    s = 1 if u <= mu[j] else 0
-                    srv_list[t - 1] = j
-                    svc_list[t - 1] = s
-                    if state is not None:
-                        state.record(j, s, None)
-                    q -= s
-            q += arr_list[t - 1]
+        counts, succ = (state.counts, state.succ) if state else ([0] * k, [0] * k)
+        sqrt, log = math.sqrt, math.log
+        until, bound, lead, alone, rr, q = 0, 1.0, 0, False, 0, 0
+        for t, a in enumerate(arrive.tolist(), 1):
+            if q:
+                if state is None:
+                    j = rr % k
+                    rr += 1
+                elif (
+                    t <= until
+                    and alone
+                    and bound < succ[lead] / (c := counts[lead]) + sqrt(2.0 * log(t) / c) < 1.0
+                ):
+                    j = lead
+                else:
+                    two_log, best, j = 2.0 * log(t), -1.0, 0
+                    for i, c in enumerate(counts):
+                        if not c or (v := succ[i] / c + sqrt(two_log / c)) >= 1.0:
+                            j = i
+                            break
+                        if v > best:
+                            best, j = v, i
+                    else:
+                        until = t + 1 + t // 256
+                        two_log = 2.0 * log(until)
+                        rivals = [succ[i] / c + sqrt(two_log / c) for i, c in enumerate(counts) if i != j]
+                        bound, lead, alone = max(rivals, default=-1.0) + 1e-9, j, True
+                srv_list[t - 1] = j
+                counts[j] += 1
+                if (u_srv[t - 1] if shared else u_srv[t - 1][j]) <= mu[j]:
+                    q -= 1
+                    succ[j] += 1
+                if j != lead:
+                    alone = False
+            q += a
             q_list[t] = q
         q_hist = np.array(q_list, dtype=np.int64)
         srv_hist = np.array(srv_list, dtype=np.int64)
-        svc_hist = np.array(svc_list, dtype=np.uint8)
+        # Q(t+1) = Q(t) - S(t) + A(t) gives each period's service outcome.
+        svc_hist = q_hist[:-1] - q_hist[1:] + arrive
 
     rows = np.nonzero(srv_hist >= 0)[0]
+    if state is not None and rows.size:
+        state.t = int(rows[-1]) + 1  # the last decision's period
     schedule = np.zeros((horizon, k), dtype=np.uint8)
     services = np.zeros((horizon, k), dtype=np.uint8)
     schedule[rows, srv_hist[rows]] = 1

@@ -170,18 +170,18 @@ class PolicyHandle:
 class Runner:
     """Per-run decision engine for one policy on one instance.
 
-    __init__ binds the variant's selector once; select_server (one queue)
-    and select_schedule (network) call it per decision.
+    On a network, __init__ binds the variant's selector once and
+    select_schedule calls it per decision.  On one queue, run_single makes
+    every decision itself; the Runner holds only the learning state and the
+    fixed server, if any.
     """
 
     def __init__(self, handle: PolicyHandle, inst: SingleQueueInstance | NetworkInstance):
         single = isinstance(inst, SingleQueueInstance)
-        self.handle = handle
         self.k = k = inst.k
-        self.n = n = 1 if single else inst.n
+        n = 1 if single else inst.n
         self.state = PolicyState(k=k, n=n) if handle.learning else None
         self._rr = 0
-        self._lead = (0, 1.0, 0, 0)  # _ucb_server's (until, bound, leader, others' pulls)
         v = handle.variant
         if v == "fixed" and not 0 <= handle.fixed_server < k:
             raise PolicyError(f"fixed server {handle.fixed_server} outside range")
@@ -192,10 +192,6 @@ class Runner:
         if v == "oracle-best" or (single and v.startswith("oracle")):
             self.fixed_server = max(range(k), key=lambda i: mu[i])
         if single:
-            # On one queue every learner's weighting reduces to the UCB argmax.
-            self._pick = self._ucb_server if handle.learning else self._next_server
-            if self.fixed_server is not None:
-                self._pick = lambda q, t: self.fixed_server
             return
         self.table = table = inst.schedule_table
         r_true = [[mu[srv] * inst.transitions[srv][i] for i in range(n)] for srv in range(k)]
@@ -213,49 +209,6 @@ class Runner:
             "fixed": lambda q, t: self._singleton_if_feasible(q, self.fixed_server),
             "round-robin": self._next_schedule,
         }[v]
-
-    # -- single-queue selection ------------------------------------------
-
-    def select_server(self, q: int, t: int) -> int | None:
-        """Server choice for the scalar-queue dynamics; None = idle."""
-        return self._pick(q, t) if q else None
-
-    def _ucb_server(self, q: int, t: int) -> int:
-        """UCB choice at period t: ucb_indices' arithmetic, a first-index argmax
-        by strict >, and the first index at the clamp 1.0 wins at once.  A full
-        scan bounds the other indices up to period until (an index cannot fall
-        while t grows and its tallies stand; 1e-9 covers math.log's last ulp), so
-        while no other server is pulled, a leader index in (bound, 1.0) wins."""
-        state = self.state
-        state.t = t
-        counts, succ, sqrt = state.counts, state.succ, math.sqrt
-        until, bound, lead, others = self._lead
-        if t <= until:
-            c = counts[lead]
-            if sum(counts) - c == others and bound < succ[lead] / c + sqrt(2.0 * math.log(t) / c) < 1.0:
-                return lead
-        two_log, best, arg = 2.0 * math.log(t), -1.0, 0
-        for j in range(self.k):
-            c = counts[j]
-            if not c:
-                return j
-            v = succ[j] / c + sqrt(two_log / c)
-            if v >= 1.0:
-                return j
-            if v > best:
-                best, arg = v, j
-        until = t + 1 + t // 256
-        two_log = 2.0 * math.log(until)
-        rivals = [succ[j] / c + sqrt(two_log / c) for j, c in enumerate(counts) if j != arg]
-        self._lead = (until, max(rivals, default=-1.0) + 1e-9, arg, sum(counts) - counts[arg])
-        return arg
-
-    def _next_server(self, q, t) -> int:
-        j = self._rr % self.k
-        self._rr += 1
-        return j
-
-    # -- network selection ------------------------------------------------
 
     def select_schedule(self, q: Sequence[int], t: int) -> tuple[int, ...]:
         return self._pick(q, t)
@@ -283,7 +236,12 @@ class Runner:
             # Align with the scalar dynamics, where an empty queue never
             # consults the policy: the rotation pointer must not move.
             return (0,) * self.k
-        return self._singleton_if_feasible(q, self._next_server(q, t))
+        return self._singleton_if_feasible(q, self._next_server())
+
+    def _next_server(self) -> int:
+        j = self._rr % self.k
+        self._rr += 1
+        return j
 
     def _singleton_if_feasible(self, q: Sequence[int], srv: int) -> tuple[int, ...]:
         sigma = tuple(1 if i == srv else 0 for i in range(self.k))

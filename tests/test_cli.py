@@ -1,7 +1,10 @@
 """End-to-end command-line behavior through main(argv)."""
+import importlib.util
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,8 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"]
         assert "numpy" in manifest["versions"]
+        # Paths are echoed relative to the config file's directory.
+        assert (manifest["config"]["instance"], manifest["config"]["out_dir"]) == ("fig1.json", "out")
 
     def test_rerun_byte_identical(self, tmp_path, fig1_file):
         cfg = _config(tmp_path)
@@ -204,6 +209,17 @@ class TestSimulate:
             series_to_csv(series[policy], str(tmp_path / "inline.csv"), bench)
             assert (tmp_path / "inline.csv").read_bytes() == outs[0][f"series_{policy}.csv"], policy
 
+    def test_one_pool_per_simulate(self, tmp_path, fig1_file, monkeypatch):
+        # The batch and the render blocks share one pool.
+        monkeypatch.setattr("clqsim.cli.ProcessPoolExecutor", _CountingPool)
+        monkeypatch.setattr(_CountingPool, "mapped", [])
+        monkeypatch.setattr(_CountingPool, "started", 0)
+        monkeypatch.setenv("CLQ_WORKERS", "2")
+        cfg = _config(tmp_path, benchmark="oracle-best", horizon=SERIES_BLOCK + 1, seeds=[0, 1])
+        assert main(["simulate", "-c", cfg]) == 0
+        assert _CountingPool.started == 1
+        assert _CountingPool.mapped == [("_simulate_job", 4), ("render_series_block", 4)]
+
     def test_unknown_key_exit_one(self, tmp_path, fig1_file):
         cfg = _config(tmp_path, horizons=5)
         assert main(["simulate", "-c", cfg]) == 1
@@ -214,9 +230,15 @@ class TestSimulate:
 
 
 class _CountingPool(ProcessPoolExecutor):
-    """A real process pool that records (function name, job count) per map."""
+    """A real process pool that counts its starts and records (function name,
+    job count) per map."""
 
     mapped: list = []
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
 
     def map(self, fn, jobs, chunksize=1):
         jobs = list(jobs)
@@ -490,6 +512,19 @@ class TestVerify:
         assert main(["verify", "-c", cfg]) == 3
         fails = self._fails(capsys)
         assert len(fails) == 1 and fails[0].startswith(fail), fails
+
+    def test_moved_result_directory_passes(self, tmp_path, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "figure1_experiment.py"
+        spec = importlib.util.spec_from_file_location("figure1_experiment", script)
+        experiment = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(experiment)
+        assert experiment.run(["--horizon", "300", "--seeds", "2", "--out", str(tmp_path / "a")]) == 0
+        moved = tmp_path / "elsewhere" / "b"
+        shutil.copytree(tmp_path / "a", moved)
+        capsys.readouterr()
+        for out in (tmp_path / "a", moved):
+            assert main(["verify", "-c", str(out / "config.json")]) == 0
+            assert capsys.readouterr().out.endswith("all checks passed (33 checks)\n")
 
     def test_missing_manifest_fails(self, tmp_path, fig1_file, capsys):
         cfg = _config(tmp_path, write_traces=False)

@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -233,22 +234,46 @@ def _fixed_server_reference(inst, server, horizon, seed, service_mode):
     return q, schedule, services, arrivals
 
 
+def _run_single_lines(*args, **kwargs):
+    """run_single(*args, **kwargs) and the number of its own source lines
+    executed, counted with a trace function on run_single's frames only."""
+    code, lines, previous = run_single.__code__, 0, sys.gettrace()
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        trace = run_single(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return trace, lines
+
+
 class TestFixedServerClosedForm:
     @pytest.mark.parametrize(
         "policy, server", [("oracle-best", 4), ("oracle-mw", 4), ("fixed:1", 1)]
     )
     @pytest.mark.parametrize("service_mode", ["shared", "independent"])
     @pytest.mark.parametrize("horizon", [1, 2, 5000])
-    def test_equals_reference_recursion(self, monkeypatch, policy, server, service_mode, horizon):
+    def test_equals_reference_recursion(self, policy, server, service_mode, horizon):
         inst = figure1_instance()  # lam 0.45: fixed:1 (mu 0.35) is unstable
-        # The closed form replaces the loop: no per-period decision is made.
-        monkeypatch.setattr(engine.Runner, "select_server", None)
+        # The closed form replaces the loop: run_single executes as many lines
+        # at this horizon as at horizon 3, so no per-period code runs.
+        _, lines = _run_single_lines(inst, policy, 3, 0, service_mode=service_mode)
         for seed in range(10):
-            tr = run_single(inst, policy, horizon, seed, service_mode=service_mode)
+            tr, n = _run_single_lines(inst, policy, horizon, seed, service_mode=service_mode)
+            assert n == lines
             want = _fixed_server_reference(inst, server, horizon, seed, service_mode)
             for got, ref in zip((tr.q, tr.schedule, tr.services, tr.arrivals), want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
             assert tr.final_state is None
+
+    def test_line_count_sees_the_loop(self):
+        inst = figure1_instance()
+        assert _run_single_lines(inst, "round-robin", 3, 0)[1] < _run_single_lines(inst, "round-robin", 30, 0)[1]
 
     def test_no_embedding_built(self, monkeypatch):
         from clqsim import model

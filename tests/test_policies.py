@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from clqsim.engine import run_network
+from clqsim.engine import run_network, run_single
 from clqsim.instances import random_with_slackness, tandem_instance
 from clqsim.model import (
     ArrivalModel,
@@ -184,22 +184,32 @@ class TestPolicyHandle:
         assert not PolicyHandle.parse("fixed:0").learning
 
 
+def _busy_servers(trace) -> set:
+    """The servers a single-queue trace runs, checking that it runs exactly
+    one in each busy period and none in an idle one."""
+    busy = trace.q[:-1, 0] > 0
+    assert busy.any()
+    assert (trace.schedule.sum(axis=1) == busy).all()
+    return set(trace.schedule[busy].argmax(axis=1).tolist())
+
+
 class TestRunner:
     def test_oracle_best_is_pure(self):
         inst = SingleQueueInstance(3, 0.4, (0.2, 0.9, 0.5))
-        r = Runner(PolicyHandle.parse("oracle-best"), inst)
-        picks = [r.select_server(4, t) for t in range(1, 30)]
-        assert set(picks) == {1}
+        assert Runner(PolicyHandle.parse("oracle-best"), inst).fixed_server == 1
+        assert _busy_servers(run_single(inst, "oracle-best", 60, 0)) == {1}
 
     def test_fixed_server(self):
         inst = SingleQueueInstance(3, 0.4, (0.2, 0.9, 0.5))
-        r = Runner(PolicyHandle.parse("fixed:2"), inst)
-        assert r.select_server(1, 1) == 2
+        assert Runner(PolicyHandle.parse("fixed:2"), inst).fixed_server == 2
+        assert _busy_servers(run_single(inst, "fixed:2", 60, 0)) == {2}
 
     def test_round_robin_cycles(self):
         inst = SingleQueueInstance(3, 0.4, (0.2, 0.9, 0.5))
-        r = Runner(PolicyHandle.parse("round-robin"), inst)
-        assert [r.select_server(1, t) for t in range(1, 5)] == [0, 1, 2, 0]
+        assert Runner(PolicyHandle.parse("round-robin"), inst).fixed_server is None
+        tr = run_single(inst, "round-robin", 60, 0)
+        busy = tr.q[:-1, 0] > 0
+        assert tr.schedule[busy].argmax(axis=1).tolist()[:4] == [0, 1, 2, 0]
 
     def test_oracle_mw_ignores_observations(self):
         net = single_to_network(SingleQueueInstance(2, 0.3, (0.3, 0.6)))

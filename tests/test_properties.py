@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clqsim import engine
 from clqsim.engine import replay_error, run, run_network, run_single
 from clqsim.instances import random_with_slackness, tandem_instance
 from clqsim.metrics import delta_series, sar_multi, sar_single
@@ -335,53 +336,177 @@ def _queues(inst, top=9):
     return st.lists(st.integers(0, top), min_size=inst.n, max_size=inst.n)
 
 
+def _checked_ucb_run(inst, horizon, seed=0, mode="shared", tallies=(), log=math.log):
+    """run_single(inst, "ucb", ...) from the given starting (count, successes)
+    tallies, with math.log replaced by log in run_single and ucb_select alike.
+    Asserts that every busy period's server is ucb_select's on the tallies
+    the trace's prefix gives, and that the run leaves those tallies and the
+    last busy period in its state.  Returns the trace."""
+    runner = Runner(PolicyHandle.parse("ucb"), inst)
+    state = runner.state
+    for srv, (c, s) in enumerate(tallies):
+        state.counts[srv], state.succ[srv] = c, s
+    counts, succ, last = list(state.counts), list(state.succ), 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "Runner", lambda handle, instance: runner)
+        mp.setattr(math, "log", log)
+        tr = run_single(inst, "ucb", horizon, seed, service_mode=mode)
+        for t, (q, row, won) in enumerate(zip(tr.q[:-1, 0].tolist(), tr.schedule, tr.services), 1):
+            ref = PolicyState(k=inst.k, n=1, t=t, counts=list(counts), succ=list(succ))
+            want = ucb_select(ref, q)
+            assert row.sum() == (q > 0), f"period {t}"
+            if want is not None:
+                assert row[want] == 1, f"period {t}: server {row.argmax()}, ucb_select {want}"
+                counts[want] += 1
+                succ[want] += int(won[want])
+                last = t
+    assert tr.final_state is state
+    assert (state.counts, state.succ, state.t) == (counts, succ, last)
+    return tr
+
+
+def _shifted_log(d):
+    """math.log moved d periods on: period t takes log(t + d)."""
+    log = math.log
+    return lambda x: log(x + d)
+
+
+def _index(tally, two_log_arg):
+    s, c = tally
+    return s / c + math.sqrt(2.0 * two_log_arg / c)
+
+
+def _least(pred, lo, hi):
+    """Smallest float in (lo, hi] where pred holds, for pred false at lo,
+    true at hi and monotone in between."""
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            mid = math.nextafter(lo, hi)
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+# Arrivals and server 1's services always succeed, server 0's never
+# (uniforms lie in [0, 1)), so every period from 2 on is busy.
+_DETERMINISTIC = SingleQueueInstance(2, 1.0, (0.0, 1.0))
+
+
 class TestBoundSelectors:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6).flatmap(_tallies), st.integers(1, 10_000))
-    def test_ucb_server_equals_ucb_select(self, tallies, t):
+    @given(st.integers(1, 6).flatmap(_tallies), st.integers(1, 10_000), st.integers(2, 12))
+    def test_ucb_server_equals_ucb_select(self, tallies, t, horizon):
+        """From any tallies, with period 2 taking log(t)."""
         k = len(tallies)
-        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(k, 0.3, (0.5,) * k))
-        state = runner.state
-        state.counts[:] = [c for c, _ in tallies]
-        state.succ[:] = [s for _, s in tallies]
-        ref = PolicyState(k=k, n=1, t=t, counts=list(state.counts), succ=list(state.succ))
-        assert runner.select_server(3, t) == ucb_select(ref, 3)
-        assert state.t == t
+        inst = SingleQueueInstance(k, 1.0, (0.5,) * k)
+        _checked_ucb_run(inst, horizon, tallies=tallies, log=_shifted_log(t - 2))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 4000), st.data())
-    def test_ucb_leader_bound_equals_ucb_select(self, k, t, data):
-        """Runner keeps its leader bound from call to call.  Every choice must
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 4000),
+        st.integers(1, 400),
+        st.integers(0, 2**32),
+        st.sampled_from(["shared", "independent"]),
+        st.data(),
+    )
+    def test_ucb_leader_bound_equals_ucb_select(self, k, t, horizon, seed, mode, data):
+        """The leader bound carries from period to period.  Every choice must
         still be ucb_select's while the leader and other servers are pulled,
-        t jumps past the bound's horizon, and indices tie exactly (repeated
+        periods pass the bound's horizon, and indices tie exactly (repeated
         tallies) or at the clamp (untried or rarely pulled servers)."""
         tally = st.one_of(
             st.sampled_from([(0, 0), (3, 1), (900, 450), (900, 451), (2000, 1200)]),
             st.integers(1, 3000).flatmap(lambda c: st.tuples(st.just(c), st.integers(0, c))),
         )
-        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(k, 0.3, (0.5,) * k))
-        state = runner.state
-        for srv, (c, s) in enumerate(data.draw(st.lists(tally, min_size=k, max_size=k))):
-            state.counts[srv], state.succ[srv] = c, s
-        for _ in range(data.draw(st.integers(1, 60))):
-            ref = PolicyState(k=k, n=1, t=t, counts=list(state.counts), succ=list(state.succ))
-            j = runner.select_server(1, t)
-            assert j == ucb_select(ref, 1)
-            srv = data.draw(st.sampled_from([j, j, j, *range(k)]))
-            state.record(srv, data.draw(st.integers(0, 1)), None)
-            t += data.draw(st.sampled_from([0, 1, 1, 1, 2, 9, 40, 400]))
+        tallies = data.draw(st.lists(tally, min_size=k, max_size=k))
+        mu = data.draw(st.lists(st.sampled_from([0.3, 0.5, 0.5, 0.6, 0.99]), min_size=k, max_size=k))
+        inst = SingleQueueInstance(k, data.draw(st.sampled_from([0.5, 0.9, 1.0])), tuple(mu))
+        _checked_ucb_run(inst, horizon, seed, mode, tallies, _shifted_log(t - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.one_of(
+            st.floats(0.05, 0.95).map(lambda r: ("equal", r)),
+            st.just(("near-one", None)),
+            st.just(("spread", None)),
+        ),
+        st.floats(0.3, 1.0),
+        st.integers(200, 2500),
+        st.integers(0, 2**32),
+        st.sampled_from(["shared", "independent"]),
+        st.data(),
+    )
+    def test_run_single_ucb_equals_ucb_select(self, k, rates, lam, horizon, seed, mode, data):
+        """Untouched runs: equal rates give exact index ties, rates near 1 the
+        clamp, and horizons past period 256 span several bound windows."""
+        kind, r = rates
+        if kind == "equal":
+            mu = (r,) * k
+        else:
+            lo = 0.9 if kind == "near-one" else 0.05
+            mu = tuple(data.draw(st.lists(st.floats(lo, 1.0), min_size=k, max_size=k)))
+        _checked_ucb_run(SingleQueueInstance(k, lam, mu), horizon, seed, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.floats(0.3, 1.0),
+        st.integers(1, 600),
+        st.integers(0, 2**32),
+        st.sampled_from(["shared", "independent"]),
+    )
+    def test_run_single_round_robin_rotates(self, k, lam, horizon, seed, mode):
+        tr = run_single(SingleQueueInstance(k, lam, (0.5,) * k), "round-robin", horizon, seed, service_mode=mode)
+        busy = tr.q[:-1, 0] > 0
+        assert (tr.schedule.sum(axis=1) == busy).all()
+        assert tr.schedule[busy].argmax(axis=1).tolist() == [i % k for i in range(busy.sum())]
+        assert tr.final_state is None
 
     def test_leader_bound_stops_at_the_clamp(self):
-        """Server 0 crosses the clamp before the bound's horizon, so the bound
-        is above 1.0; once the leader (server 1) passes it too, the clamp's
-        first-index rule picks server 0."""
-        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(2, 0.3, (0.5, 0.5)))
-        state = runner.state
-        state.counts[:], state.succ[:] = [753, 681], [651, 584]
-        assert runner.select_server(1, 1000) == 1
-        state.record(1, 1, None)
-        ref = PolicyState(k=2, n=1, t=1001, counts=list(state.counts), succ=list(state.succ))
-        assert runner.select_server(1, 1001) == ucb_select(ref, 1) == 0
+        """Periods 2 and 3 take log(1000) and log(1001).  Server 0 crosses the
+        clamp before the bound's horizon, so the bound is above 1.0; once the
+        leader (server 1) passes it too, the clamp's first-index rule picks
+        server 0."""
+        inst = SingleQueueInstance(2, 1.0, (1.0, 1.0))
+        tr = _checked_ucb_run(inst, 3, tallies=[(753, 651), (681, 584)], log=_shifted_log(998))
+        assert tr.schedule[1:].argmax(axis=1).tolist() == [1, 0]
+
+    def test_leader_bound_slack_covers_a_log_ulp(self):
+        """A log that is off by a few ulps can make an index at period t
+        exceed the same index at the bound's horizon.  Here periods below 256
+        take a huge log (every index at the clamp: server 0 is pulled), the
+        scan at 256 leads with server 1 up to period 258, and log(258) sits a
+        few ulps below log(257), where server 0's index reaches server 1's.
+        The 1e-9 in the bound keeps period 257 on the full scan."""
+        tallies = [(2000, 1000), (40000, 26000)]
+        rival, leader = (1000, 2000 + 254), (26001, 40001)  # the tallies at period 257
+        ahead = _least(lambda x: _index(rival, x) >= _index(leader, x), 1.0, 1e3)
+        below = math.nextafter(_least(lambda x: _index(rival, x) >= _index(leader, ahead), 1.0, ahead), 0.0)
+        assert _index(rival, below) < _index(leader, ahead) <= _index(rival, ahead) < 1.0
+        assert _index(rival, ahead) - _index(rival, below) < 1e-12
+        log = math.log
+        logs = {257: ahead, 258: below}
+        tr = _checked_ucb_run(
+            _DETERMINISTIC, 257, tallies=tallies, log=lambda x: 1e6 if x < 256 else logs.get(x) or log(x)
+        )
+        assert tr.schedule[255:].argmax(axis=1).tolist() == [1, 0]
+
+    def test_rival_pull_ends_the_leader_bound(self):
+        """The scan at 512 leads with server 1 up to period 515.  A huge log
+        at 513 puts every index at the clamp, so server 0 is pulled; at 514
+        server 0's index beats the leader's although the leader is above the
+        bound, so the bound must no longer hold."""
+        log = math.log
+        logs = {513: 1e6, 514: 200.0}
+        tr = _checked_ucb_run(
+            _DETERMINISTIC,
+            514,
+            tallies=[(2000, 1000), (40000, 26000)],
+            log=lambda x: 1e6 if x < 512 else logs.get(x) or log(x),
+        )
+        assert tr.schedule[511:].argmax(axis=1).tolist() == [1, 0, 0]
 
     @pytest.mark.parametrize(
         "counts, succ, t, want",
@@ -393,10 +518,10 @@ class TestBoundSelectors:
         ],
     )
     def test_ucb_server_ties(self, counts, succ, t, want):
-        runner = Runner(PolicyHandle.parse("ucb"), SingleQueueInstance(3, 0.3, (0.5,) * 3))
-        runner.state.counts[:], runner.state.succ[:] = counts, succ
-        ref = PolicyState(k=3, n=1, t=t, counts=list(counts), succ=list(succ))
-        assert runner.select_server(1, t) == ucb_select(ref, 1) == want
+        """The first decision, at period 2, taking log(t)."""
+        inst = SingleQueueInstance(3, 1.0, (0.5,) * 3)
+        tr = _checked_ucb_run(inst, 2, tallies=list(zip(counts, succ)), log=_shifted_log(t - 2))
+        assert tr.schedule[1].argmax() == want
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(_NETWORKS), st.integers(1, 5000), st.data())
