@@ -1,10 +1,11 @@
 """One-period references that the tests bind the fast paths to, bit for bit.
 
-The package computes these quantities over whole runs (Runner's selectors,
-metrics.delta_series) or keeps only the integer tallies they come from
-(PolicyState); the functions here compute one period at a time in the
-plainest form. The weight arithmetic itself is the package's
-metrics._weight, so the bitwise bindings compare like with like.
+The package computes these quantities over whole runs (run_single's loop,
+Runner's selectors, metrics.delta_series) or keeps only the integer
+tallies they come from (PolicyState); the functions here compute one
+period at a time in the plainest form. The weight arithmetic itself is
+the package's metrics._weight, so the bitwise bindings compare like with
+like.
 """
 from __future__ import annotations
 

@@ -371,9 +371,11 @@ def _shifted_log(d):
     return lambda x: log(x + d)
 
 
-def _index(tally, two_log_arg):
-    s, c = tally
-    return s / c + math.sqrt(2.0 * two_log_arg / c)
+def _index(tally, log_t):
+    """UCB index, unclamped, of a tried (count, successes) tally where
+    math.log(t) gives log_t."""
+    c, s = tally
+    return s / c + math.sqrt(2.0 * log_t / c)
 
 
 def _least(pred, lo, hi):
@@ -481,7 +483,7 @@ class TestBoundSelectors:
         few ulps below log(257), where server 0's index reaches server 1's.
         The 1e-9 in the bound keeps period 257 on the full scan."""
         tallies = [(2000, 1000), (40000, 26000)]
-        rival, leader = (1000, 2000 + 254), (26001, 40001)  # the tallies at period 257
+        rival, leader = (2000 + 254, 1000), (40001, 26001)  # the tallies at period 257
         ahead = _least(lambda x: _index(rival, x) >= _index(leader, x), 1.0, 1e3)
         below = math.nextafter(_least(lambda x: _index(rival, x) >= _index(leader, ahead), 1.0, ahead), 0.0)
         assert _index(rival, below) < _index(leader, ahead) <= _index(rival, ahead) < 1.0
