@@ -44,7 +44,6 @@ from .engine import (
     run_single,
     trace_csv_lines,
     trace_to_csv,
-    ucb_queue_paths,
 )
 from .metrics import (
     CheckResult,

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .engine import replay_csv_error, replay_error, run, trace_to_csv, ucb_queue_paths
+from .engine import _lindley, replay_csv_error, replay_error, run, seed_block_uniforms, trace_to_csv
 from .instances import (
     GenerationFailed,
     figure1_instance,
@@ -462,6 +462,32 @@ def cmd_make_instance(args) -> int:
     return 0
 
 
+COUPLING_BLOCK_BYTES = 4 << 20  # bytes of service draws per seed block in _coupling_queues
+
+
+def _coupling_queues(inst: SingleQueueInstance, seeds, horizon: int, mode: str) -> np.ndarray:
+    """Per seed, run_single(inst, "ucb", horizon, seed, service_mode=mode)
+    .q[horizon - 1, 0], the queue after periods 1..horizon-1, for horizon
+    in 1..6.  Through period 5 ucb serves only server 0: no job waits in
+    period 1, so before period t server 0 has c <= t - 2 <= 2 ln t pulls
+    and its index s/c + sqrt(2 ln t / c) is at least 1.0 (or it is
+    untried), so it wins at once.  The queue is then server 0's Lindley
+    path, drawn from each seed's streams in seed blocks."""
+    if not 1 <= horizon <= 6:
+        raise ValueError(f"coupling horizon {horizon} outside 1..6")
+    shape = (horizon,) if mode == "shared" else (horizon, inst.k)
+    size = max(1, COUPLING_BLOCK_BYTES // (8 * math.prod(shape)))
+    seeds = list(seeds)
+    out = np.empty(len(seeds), dtype=np.int64)
+    for lo in range(0, len(seeds), size):
+        block = seeds[lo : lo + size]
+        arrive = seed_block_uniforms(block, "arrival", horizon) <= inst.lam
+        u = seed_block_uniforms(block, "service", *shape)
+        served = (u if mode == "shared" else u[..., 0]) <= inst.mu[0]
+        out[lo : lo + len(block)] = _lindley(arrive, served)[:, horizon - 1]
+    return out
+
+
 def _coupling_pvalue(inst: SingleQueueInstance, n_seeds: int, horizon: int = 5) -> float:
     """Chi-square p-value comparing Q(horizon) between the shared-uniform
     and per-server service draws, on disjoint seed ranges."""
@@ -470,8 +496,8 @@ def _coupling_pvalue(inst: SingleQueueInstance, n_seeds: int, horizon: int = 5) 
     counts: list[dict[int, int]] = []
     for arm, mode in enumerate(("shared", "independent")):
         lo = arm * n_seeds
-        paths = ucb_queue_paths(inst, horizon, range(lo, lo + n_seeds), mode)
-        values, freq = np.unique(paths[:, horizon - 1], return_counts=True)
+        queues = _coupling_queues(inst, range(lo, lo + n_seeds), horizon, mode)
+        values, freq = np.unique(queues, return_counts=True)
         counts.append(dict(zip(values.tolist(), freq.tolist())))
     values = sorted(set(counts[0]) | set(counts[1]))
     table = np.array([[counts[a].get(v, 0) for v in values] for a in (0, 1)])

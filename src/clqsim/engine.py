@@ -23,7 +23,6 @@ from .model import (
 from .policies import PolicyError, PolicyHandle, PolicyState, Runner
 
 STREAM_IDS = {"arrival": 0, "service": 1, "transition": 2, "policy": 3}
-LOCKSTEP_BLOCK = 1024  # seeds per block of ucb_queue_paths
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -131,6 +130,21 @@ def seed_block_uniforms(seeds, stream: str, *shape: int) -> np.ndarray:
     return out.reshape(len(seeds), *shape)
 
 
+def _lindley(arrive: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Queue paths of Q(t+1) = max(Q(t) - S(t), 0) + A(t) from Q(1) = 0, along
+    the last axis of 0/1 arrivals A and service outcomes S (h periods each);
+    the result holds Q(1..h+1).  R(t) = Q(t+1) - A(t) is the Lindley recursion
+    R(t) = max(R(t-1) + A(t-1) - S(t), 0), R(0) = 0: R(t) = C(t) - min(0,
+    min_{m<=t} C(m)) for C the running sum, where the 0 drops out as
+    C(1) = -S(1) <= 0."""
+    step = -served.astype(np.int64)
+    step[..., 1:] += arrive[..., :-1]
+    c = np.cumsum(step, axis=-1)
+    q = np.zeros((*c.shape[:-1], c.shape[-1] + 1), dtype=np.int64)
+    q[..., 1:] = c - np.minimum.accumulate(c, axis=-1) + arrive
+    return q
+
+
 @dataclass
 class Trace:
     """Full per-period record of one simulation run.
@@ -188,17 +202,8 @@ def run_single(
     u_srv = RandomSource(seed, "service").uniforms(*((horizon,) if shared else (horizon, k)))
 
     if runner.fixed_server is not None:
-        # Q(t+1) = max(Q(t) - S(t), 0) + A(t), so R(t) = Q(t+1) - A(t) is the
-        # Lindley recursion R(t) = max(R(t-1) + A(t-1) - S(t), 0), R(0) = 0:
-        # R(t) = C(t) - min(0, min_{m<=t} C(m)) for C the running sum, where
-        # the 0 drops out as C(1) = -S(1) <= 0.
         j = runner.fixed_server
-        svc_hist = ((u_srv if shared else u_srv[:, j]) <= mu[j]).astype(np.int64)
-        step = -svc_hist
-        step[1:] += arrive[:-1]
-        c = np.cumsum(step)
-        q_hist = np.zeros(horizon + 1, dtype=np.int64)
-        q_hist[1:] = c - np.minimum.accumulate(c) + arrive
+        q_hist = _lindley(arrive, (u_srv if shared else u_srv[:, j]) <= mu[j])
         srv_hist = np.where(q_hist[:horizon] > 0, j, -1)
     else:
         # The loop decides itself: round-robin (on throwaway tallies), or (every
@@ -249,9 +254,9 @@ def run_single(
             q_list[t] = q
         q_hist = np.array(q_list, dtype=np.int64)
         srv_hist = np.array(srv_list, dtype=np.int64)
-        # Q(t+1) = Q(t) - S(t) + A(t) gives each period's service outcome.
-        svc_hist = q_hist[:-1] - q_hist[1:] + arrive
 
+    # Q(t+1) = Q(t) - S(t) + A(t) gives each busy period's service outcome.
+    svc_hist = q_hist[:-1] - q_hist[1:] + arrive
     rows = np.nonzero(srv_hist >= 0)[0]
     if state is not None and rows.size:
         state.t = int(rows[-1]) + 1  # the last decision's period
@@ -271,67 +276,6 @@ def run_single(
         targets=None,
         final_state=state,
     )
-
-
-def ucb_queue_paths(
-    instance: SingleQueueInstance,
-    horizon: int,
-    seeds,
-    service_mode: str = "shared",
-) -> np.ndarray:
-    """Queue paths of single-queue UCB for many seeds, advanced in lockstep.
-
-    Row i equals run_single(instance, "ucb", horizon, seeds[i],
-    service_mode=service_mode).q[:, 0] bit for bit: each seed draws its
-    own streams, 2 log t is one scalar per period, and the per-seed index
-    arithmetic (/, sqrt, +, min, first-index argmax) is correctly rounded
-    in numpy as in the scalar loop.  Seeds run in blocks of
-    LOCKSTEP_BLOCK, so working memory beyond the returned (S, horizon+1)
-    int64 array does not grow with the seed count.  Seeds lie in [0, 2**128).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if service_mode not in ("shared", "independent"):
-        raise ValueError(f"unknown service_mode {service_mode!r}")
-    seeds = [int(s) for s in seeds]
-    paths = np.empty((len(seeds), horizon + 1), dtype=np.int64)
-    for lo in range(0, len(seeds), LOCKSTEP_BLOCK):
-        block = seeds[lo : lo + LOCKSTEP_BLOCK]
-        _ucb_block(instance, block, service_mode, paths[lo : lo + len(block)])
-    return paths
-
-
-def _ucb_block(instance, seeds, service_mode, paths):
-    """Fill paths, a (len(seeds), horizon+1) view, with one block's queue paths."""
-    b, k = len(seeds), instance.k
-    horizon = paths.shape[1] - 1
-    mu = np.asarray(instance.mu, dtype=np.float64)
-    arrive = seed_block_uniforms(seeds, "arrival", horizon) <= instance.lam
-    shape = (horizon,) if service_mode == "shared" else (horizon, k)
-    u_srv = seed_block_uniforms(seeds, "service", *shape)
-
-    counts = np.zeros((b, k), dtype=np.int64)
-    succ = np.zeros((b, k), dtype=np.int64)
-    q = np.zeros(b, dtype=np.int64)
-    for t in range(1, horizon + 1):
-        paths[:, t - 1] = q
-        busy = np.flatnonzero(q)
-        if busy.size:
-            c = counts[busy]
-            tried = c > 0
-            idx = np.ones(c.shape)
-            idx[tried] = np.minimum(
-                1.0,
-                succ[busy][tried] / c[tried] + np.sqrt(2.0 * math.log(t) / c[tried]),
-            )
-            j = idx.argmax(axis=1)
-            u = u_srv[busy, t - 1] if service_mode == "shared" else u_srv[busy, t - 1, j]
-            s = u <= mu[j]
-            counts[busy, j] += 1
-            succ[busy, j] += s
-            q[busy] -= s
-        q += arrive[:, t - 1]
-    paths[:, horizon] = q
 
 
 def run_network(

@@ -94,11 +94,6 @@ class ScheduleSet:
     def __len__(self) -> int:
         return len(self.schedules)
 
-    @cached_property
-    def zero_index(self) -> int:
-        k = len(self.schedules[0])
-        return self.schedules.index((0,) * k)
-
     @classmethod
     def closure(cls, maximal: Iterable[Sequence[int]], k: int) -> "ScheduleSet":
         """Complete the given schedules downward into a valid set.

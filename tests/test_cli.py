@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clqsim import cli
 from clqsim.cli import ConfigError, ExperimentConfig, _coupling_pvalue, main, run_batch
 from clqsim.engine import run
 from clqsim.instances import figure1_instance, lower_bound_family, tandem_instance
@@ -537,8 +538,28 @@ class TestVerify:
         assert fails[0].startswith("FAIL check=manifest policy=- seed=-: unreadable manifest.json: ")
 
     def test_coupling_pvalue_pinned(self):
+        assert _coupling_pvalue(figure1_instance(), 10_000) == 0.4835077748076769
         inst = SingleQueueInstance(2, 0.5, (0.3, 0.7))
         assert _coupling_pvalue(inst, 10_000) == 0.15917124425502707
+
+    def test_coupling_horizon_beyond_server_0(self):
+        with pytest.raises(ValueError):
+            _coupling_pvalue(figure1_instance(), 100, horizon=7)
+
+    def test_coupling_blocks_within_byte_budget(self, monkeypatch):
+        # At k = 2000 one seed's per-server draws take 80 kB, so 600 seeds
+        # in one block would hold 48 MB.
+        sizes, draw = [], cli.seed_block_uniforms
+
+        def spy(*args):
+            out = draw(*args)
+            sizes.append(out.nbytes)
+            return out
+
+        monkeypatch.setattr(cli, "seed_block_uniforms", spy)
+        inst = SingleQueueInstance(2000, 0.5, (0.6,) + (0.4,) * 1999)
+        _coupling_pvalue(inst, 600)
+        assert len(sizes) > 4 and max(sizes) <= cli.COUPLING_BLOCK_BYTES
 
 
 class TestMakeInstance:

@@ -1,4 +1,4 @@
-"""Dynamics, determinism, replay, embeddings, and the lockstep UCB kernel."""
+"""Dynamics, determinism, replay, embeddings, and the coupling check's queues."""
 import csv
 import io
 import math
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clqsim import engine
+from clqsim import cli, engine
 from clqsim.engine import (
     STREAM_IDS,
     RandomSource,
@@ -21,7 +21,6 @@ from clqsim.engine import (
     seed_block_uniforms,
     trace_csv_lines,
     trace_to_csv,
-    ucb_queue_paths,
 )
 from clqsim.instances import figure1_instance, random_with_slackness, tandem_instance
 from clqsim.model import (
@@ -136,11 +135,12 @@ class TestSeedBlockUniforms:
 
     @pytest.mark.parametrize("mode", ["shared", "independent"])
     def test_coupling_blocks_take_the_block_lcg(self, monkeypatch, mode):
-        # The coupling check's 10**4 seeds run as nine 1024-seed blocks and a
-        # 784-seed tail, each drawing its arrival and service rows in one pass.
+        # Each arm of the coupling check (10**4 seeds) fits one block of
+        # cli.COUPLING_BLOCK_BYTES and draws its arrival and service rows in
+        # one pass.
         calls = self._spy_blocks(monkeypatch)
-        ucb_queue_paths(figure1_instance(), 5, range(10_000), mode)
-        assert calls == [n for n in [1024] * 9 + [784] for _ in ("arrival", "service")]
+        cli._coupling_queues(figure1_instance(), range(10_000), 5, mode)
+        assert calls == [10_000, 10_000]
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
     def test_seed_domain(self, seed):
@@ -404,50 +404,58 @@ class TestCoupledPair:
 
 
 class TestUcbQueuePaths:
-    @pytest.mark.parametrize(
-        "inst", [figure1_instance(), SingleQueueInstance(2, 0.5, (0.3, 0.7))]
-    )
+    """cli._coupling_queues, server 0's Lindley queue, equals ucb's queue
+    from run_single up to horizon 6."""
+
+    INSTANCES = [
+        figure1_instance(),
+        SingleQueueInstance(2, 0.5, (0.3, 0.7)),
+        SingleQueueInstance(1, 0.6, (0.65,)),
+        SingleQueueInstance(7, 0.5, (0.05, 0.1, 0.15, 0.2, 0.3, 0.6, 0.95)),
+    ]
+
+    @staticmethod
+    def _ucb_queue(inst, horizon, seed, mode):
+        return run_single(inst, "ucb", horizon, seed, service_mode=mode).q[horizon - 1, 0]
+
+    @pytest.mark.parametrize("inst", INSTANCES)
     @pytest.mark.parametrize("mode", ["shared", "independent"])
-    @pytest.mark.parametrize("horizon", [5, 200])
+    @pytest.mark.parametrize("horizon", range(1, 7))
     def test_matches_run_single(self, inst, mode, horizon, monkeypatch):
-        # 300 seeds in blocks of 128: two full blocks and a partial one.
-        monkeypatch.setattr(engine, "LOCKSTEP_BLOCK", 128)
-        seeds = range(1000, 1300)
-        paths = ucb_queue_paths(inst, horizon, seeds, mode)
-        assert paths.shape == (300, horizon + 1) and paths.dtype == np.int64
-        for row, seed in zip(paths, seeds):
-            ref = run_single(inst, "ucb", horizon, seed, snapshot_stride=0, service_mode=mode)
-            assert np.array_equal(row, ref.q[:, 0]), seed
+        # Blocks of a few dozen to 140 seeds, with a partial block at the end.
+        monkeypatch.setattr(cli, "COUPLING_BLOCK_BYTES", 6720)
+        seeds = range(1000, 1200)
+        got = cli._coupling_queues(inst, seeds, horizon, mode)
+        assert got.shape == (200,) and got.dtype == np.int64
+        for q, seed in zip(got, seeds):
+            assert q == self._ucb_queue(inst, horizon, seed, mode), seed
 
     def test_default_block_partial(self):
         inst = figure1_instance()
-        seeds = list(range(engine.LOCKSTEP_BLOCK + 7))
-        paths = ucb_queue_paths(inst, 5, seeds, "independent")
-        for seed in (0, engine.LOCKSTEP_BLOCK - 1, engine.LOCKSTEP_BLOCK, seeds[-1]):
-            ref = run_single(inst, "ucb", 5, seed, snapshot_stride=0, service_mode="independent")
-            assert np.array_equal(paths[seed], ref.q[:, 0])
+        size = cli.COUPLING_BLOCK_BYTES // (8 * 5 * inst.k)
+        got = cli._coupling_queues(inst, range(size + 7), 5, "independent")
+        for seed in (0, size - 1, size, size + 6):
+            assert got[seed] == self._ucb_queue(inst, 5, seed, "independent"), seed
 
     @pytest.mark.parametrize("mode", ["shared", "independent"])
     def test_block_straddles_2_32(self, mode, monkeypatch):
         # One block of 64 seeds below 2**32 and 64 from it on, then a short one.
-        monkeypatch.setattr(engine, "LOCKSTEP_BLOCK", 128)
         inst = SingleQueueInstance(2, 0.5, (0.3, 0.7))
+        monkeypatch.setattr(cli, "COUPLING_BLOCK_BYTES", 128 * 8 * 6 * (1 if mode == "shared" else 2))
         seeds = range(2**32 - 64, 2**32 + 80)
-        paths = ucb_queue_paths(inst, 20, seeds, mode)
-        for row, seed in zip(paths, seeds):
-            ref = run_single(inst, "ucb", 20, seed, snapshot_stride=0, service_mode=mode)
-            assert np.array_equal(row, ref.q[:, 0]), seed
+        got = cli._coupling_queues(inst, seeds, 6, mode)
+        for q, seed in zip(got, seeds):
+            assert q == self._ucb_queue(inst, 6, seed, mode), seed
 
     def test_no_seeds(self):
-        assert ucb_queue_paths(figure1_instance(), 5, []).shape == (0, 6)
+        assert cli._coupling_queues(figure1_instance(), [], 5, "shared").shape == (0,)
 
     def test_validation(self):
+        for horizon in (0, 7):
+            with pytest.raises(ValueError, match="1..6"):
+                cli._coupling_queues(figure1_instance(), [0], horizon, "shared")
         with pytest.raises(ValueError):
-            ucb_queue_paths(figure1_instance(), 0, [0])
-        with pytest.raises(ValueError):
-            ucb_queue_paths(figure1_instance(), 5, [0], "per-server")
-        with pytest.raises(ValueError):
-            ucb_queue_paths(figure1_instance(), 5, [0, -1])
+            cli._coupling_queues(figure1_instance(), [0, -1], 5, "shared")
 
 
 class TestTraceCsv:

@@ -78,7 +78,6 @@ class TestScheduleSet:
     def test_singletons_order(self):
         s = ScheduleSet.singletons(3)
         assert s.schedules == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
-        assert s.zero_index == 3
 
 
 class TestScheduleTable:
