@@ -422,7 +422,8 @@ class TestUcbQueuePaths:
     @pytest.mark.parametrize("mode", ["shared", "independent"])
     @pytest.mark.parametrize("horizon", range(1, 7))
     def test_matches_run_single(self, inst, mode, horizon, monkeypatch):
-        # Blocks of a few dozen to 140 seeds, with a partial block at the end.
+        # 6720 bytes hold the service draws of 20 to 840 seeds by shape, so
+        # most cases run several blocks and then a partial one.
         monkeypatch.setattr(cli, "COUPLING_BLOCK_BYTES", 6720)
         seeds = range(1000, 1200)
         got = cli._coupling_queues(inst, seeds, horizon, mode)
