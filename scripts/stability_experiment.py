@@ -26,6 +26,12 @@ def run(argv=None) -> int:
     ap.add_argument("--horizon", type=int, default=30_000)
     ap.add_argument("--seeds", type=int, default=10)
     args = ap.parse_args(argv)
+    if args.horizon < 1:
+        print("error: horizon must be at least 1")
+        return 1
+    if args.seeds < 1:
+        print("error: need at least one seed")
+        return 1
 
     cases = [
         (

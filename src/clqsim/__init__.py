@@ -30,9 +30,7 @@ from .policies import (
     PolicyHandle,
     PolicyState,
     Runner,
-    backpressure_select,
     feasible_schedules,
-    maxweight_select,
 )
 from .engine import (
     RandomSource,

@@ -20,7 +20,7 @@ from .model import (
     as_network,
     structure_constants,
 )
-from .policies import PolicyError, PolicyHandle, PolicyState, Runner
+from .policies import PolicyError, PolicyHandle, PolicyState, Runner, feasible_rows
 
 STREAM_IDS = {"arrival": 0, "service": 1, "transition": 2, "policy": 3}
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -296,7 +296,8 @@ def run_network(
     if snapshot_stride != 0:
         raise ValueError("snapshot_stride must be 0: runs record no snapshots")
     net = as_network(instance)
-    runner = Runner(PolicyHandle.parse(policy), net)
+    handle = PolicyHandle.parse(policy)
+    runner = Runner(handle, net)
     state = runner.state
     k, n = net.k, net.n
     mu = list(net.mu)
@@ -321,40 +322,103 @@ def run_network(
         dest = np.minimum([np.searchsorted(cum_tr[srv], u_tr[:, srv]) for srv in range(k)], n).T
         dest_rows = dest.tolist()
 
+    # The loop decides itself, by row of the schedule table.  round-robin,
+    # fixed and oracle-best run one server's singleton row when it exists and
+    # that server's queue is non-empty, else the zero schedule; round-robin's
+    # pointer stands while the system is empty.  The others take the first
+    # feasible row (policies.feasible_rows) of largest summed per-server gain:
+    # rate * Q(owner) less, for BackPressure, the sum over queues d in
+    # ascending order of the transition rate to d times Q(d).  The oracles use
+    # true rates, so their choice depends on q alone and is memoised per run.
+    # The learners use the UCB rate min(1, s/c + sqrt(2 log t / c)), 1 while
+    # untried, and the LCB max(0, r/c - sqrt(2 log t / c)), one sqrt per
+    # server.  Shortcuts, all exact: a lone feasible row needs no gains; a
+    # server with an empty queue is in no feasible row; a zero rate adds +0.0
+    # to a penalty that is never -0.0.
+    idle = table.row.get((0,) * k)
+    if idle is None:
+        raise PolicyError("schedule set lacks the all-zero schedule")
+    v = handle.variant
+    rotate = v == "round-robin"
+    j = 0 if rotate else runner.fixed_server
+    lone = [table.row.get(tuple(int(i == s) for i in range(k)), idle) for s in range(k)]
+    oracle, bp = v in ("oracle-mw", "oracle-bp"), v in ("bp-ucb", "oracle-bp")
+    low_true = [
+        [(d, mu[srv] * p) for d, p in enumerate(net.transitions[srv][:n]) if mu[srv] * p] if bp else ()
+        for srv in range(k)
+    ]
+    counts, succ, trans = (
+        (state.counts, state.succ, state.trans)
+        if state
+        else ([0] * k, [0] * k, [[0] * n for _ in range(k)])
+    )
+    servers, demand, memo, cap = table.servers, table.demand, table.memo, table.cap
+    gain, chosen, rr = [0.0] * k, {}, 0
+    sqrt, log = math.sqrt, math.log
     q = [0] * n
     q_rows, sched_rows, served = [], [], []
-    select = runner.select_schedule
 
     for row, ai in enumerate(arr_idx.tolist()):
         t = row + 1
         q_rows.append(q[:])
-        sigma = select(q, t)
-        r = table.row.get(tuple(sigma))
-        if r is None:
-            raise PolicyError(f"policy returned unknown schedule {sigma}")
-        for qi, need in table.demand[r]:
+        if j is not None:
+            if rotate and any(q):
+                j, rr = rr % k, rr + 1
+            r = lone[j] if q[owner[j]] else idle
+        elif not oracle or (r := chosen.get(key := tuple(q))) is None:
+            fits = memo.get(tuple(map(min, q, cap))) or feasible_rows(table, q)
+            if len(fits) == 1:
+                r = fits[0][0]
+            else:
+                two_log = 2.0 * log(t) if state else 0.0
+                for srv, o in enumerate(owner):
+                    if not q[o]:
+                        continue
+                    pen = 0.0
+                    if state is None:
+                        g = mu[srv] * q[o]
+                        for d, x in low_true[srv]:
+                            pen += x * q[d]
+                    elif c := counts[srv]:
+                        root = sqrt(two_log / c)
+                        g = succ[srv] / c + root
+                        g = (g if g < 1.0 else 1.0) * q[o]
+                        if bp:
+                            for d, x in enumerate(trans[srv]):
+                                if x and (lcb := x / c - root) > 0.0:
+                                    pen += lcb * q[d]
+                    else:
+                        g = 1.0 * q[o]
+                    gain[srv] = g - pen
+                best = -math.inf
+                for ri, sel in fits:
+                    w = 0.0
+                    for srv in sel:
+                        w += gain[srv]
+                    if w > best:
+                        best, r = w, ri
+            if oracle:
+                chosen[key] = r
+        for qi, need in demand[r]:
             if q[qi] < need:
                 raise PolicyError(
-                    f"schedule {sigma} infeasible at t={t}: queue {qi} holds {q[qi]}"
+                    f"schedule {table.schedules[r]} infeasible at t={t}: queue {qi} holds {q[qi]}"
                 )
         sched_rows.append(r)
-        for srv in table.servers[r]:
-            u = u_srv[row] if shared else u_srv[row][srv]
-            s = 1 if u <= mu[srv] else 0
-            target = None
-            if s:
+        for srv in servers[r]:
+            counts[srv] += 1
+            if (u_srv[row] if shared else u_srv[row][srv]) <= mu[srv]:
                 served.append(row * k + srv)
+                succ[srv] += 1
                 q[owner[srv]] -= 1
-                if dest_rows is not None:
-                    d = dest_rows[row][srv]
-                    if d < n:
-                        q[d] += 1
-                        target = d
-            if state is not None:
-                state.record(srv, s, target)
+                if dest_rows is not None and (d := dest_rows[row][srv]) < n:
+                    q[d] += 1
+                    trans[srv][d] += 1
         for qi in arr_ones[ai]:
             q[qi] += 1
     q_rows.append(q)
+    if state is not None:
+        state.t = horizon  # the last decision's period
 
     services = np.zeros((horizon, k), dtype=np.uint8)
     services.reshape(-1)[served] = 1

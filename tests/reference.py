@@ -1,9 +1,9 @@
 """One-period references that the tests bind the fast paths to, bit for bit.
 
-The package computes these quantities over whole runs (run_single's loop,
-Runner's selectors, metrics.delta_series) or keeps only the integer
-tallies they come from (PolicyState); the functions here compute one
-period at a time in the plainest form. The weight arithmetic itself is
+The package computes these quantities over whole runs (the decision loops
+of run_single and run_network, metrics.delta_series) or keeps only the
+integer tallies they come from (PolicyState); the functions here compute
+one period at a time in the plainest form. The weight arithmetic itself is
 the package's metrics._weight, so the bitwise bindings compare like with
 like.
 """
@@ -40,12 +40,57 @@ def lcb_transition(r_hat: float, count: int, t: float) -> float:
     return max(0.0, r_hat - math.sqrt(2.0 * math.log(t) / count))
 
 
+def ucb_indices(state: PolicyState, t: int) -> list[float]:
+    """Optimistic service-rate index of every server at period t, clamped
+    into [0, 1] (1.0 while untried), with 2 log t taken once."""
+    two_log = 2.0 * math.log(t)
+    return [
+        min(1.0, s / c + math.sqrt(two_log / c)) if c else 1.0
+        for s, c in zip(state.succ, state.counts)
+    ]
+
+
 def ucb_select(state: PolicyState, q: int) -> int | None:
     """Server with the highest optimistic index; None when the queue is empty."""
     if q == 0:
         return None
-    idx = state.ucb_indices(state.t)
+    idx = ucb_indices(state, state.t)
     return idx.index(max(idx))
+
+
+def _heaviest(table, q, gain) -> tuple[int, ...]:
+    """Schedule that fits q with the largest summed per-server gain, each sum
+    taken from 0.0 over the schedule's servers in ascending order.  Ties go
+    to the first in stored order."""
+    best_w, best = -math.inf, None
+    for sigma, servers, need in zip(table.schedules, table.servers, table.demand):
+        if all(q[i] >= c for i, c in need):
+            w = 0.0
+            for srv in servers:
+                w += gain[srv]
+            if w > best_w:
+                best_w, best = w, sigma
+    return best
+
+
+def maxweight_select(q, rates, table) -> tuple[int, ...]:
+    """Feasible schedule maximizing sum_n Q_n * (selected rate mass at n)."""
+    owner = table.server_queue
+    return _heaviest(table, q, [rates[srv] * q[owner[srv]] for srv in range(len(owner))])
+
+
+def backpressure_select(q, mu_bar, r_lower, table) -> tuple[int, ...]:
+    """MaxWeight with per-server penalties for feeding long queues: server
+    srv's gain is mu_bar[srv] * Q(owner) less the sum, from 0.0 in ascending
+    queue order, of r_lower[srv][d] * Q(d)."""
+    owner = table.server_queue
+    gain = []
+    for srv in range(len(mu_bar)):
+        pen = 0.0
+        for d, qd in enumerate(q):
+            pen += r_lower[srv][d] * qd
+        gain.append(mu_bar[srv] * q[owner[srv]] - pen)
+    return _heaviest(table, q, gain)
 
 
 def schedule_weight(q, schedule, instance, networked: bool) -> float:

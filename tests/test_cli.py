@@ -902,3 +902,33 @@ class TestInstanceValidation:
         assert out.startswith("error: invalid instance: ")
         assert "schedule set lacks the all-zero schedule" in out
         assert out.count("\n") == 1
+
+
+class TestStabilityScript:
+    @staticmethod
+    def _run(argv):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "stability_experiment.py"
+        spec = importlib.util.spec_from_file_location("stability_experiment", script)
+        experiment = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(experiment)
+        return experiment.run(argv)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seeds", "0"], "error: need at least one seed\n"),
+            (["--seeds", "-2"], "error: need at least one seed\n"),
+            (["--horizon", "0"], "error: horizon must be at least 1\n"),
+            (["--horizon", "-5", "--seeds", "0"], "error: horizon must be at least 1\n"),
+        ],
+        ids=["seeds-0", "seeds-negative", "horizon-0", "horizon-negative"],
+    )
+    def test_bad_input_rejected(self, capsys, argv, message):
+        assert self._run(argv) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (message, "")
+
+    def test_small_run_reports_both_cases(self, capsys):
+        assert self._run(["--horizon", "50", "--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and "nan" not in "".join(lines)

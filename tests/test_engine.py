@@ -360,17 +360,29 @@ class TestRunNetwork:
             assert replay_error(tr) is None
 
     def test_infeasible_schedule_rejected(self, monkeypatch):
-        # Force the policy to emit (1, 1) at t=1 when both queues are empty;
-        # the engine must refuse to run an infeasible schedule.
-        from clqsim import engine
-        from clqsim.policies import PolicyHandle, Runner
-
+        # The feasible-rows lookup offers only (1, 1) at t=1, when both
+        # queues are empty; the engine must refuse to run an infeasible row.
         inst = tandem_instance(2, (0.9, 0.9), 0.5)
-        runner = Runner(PolicyHandle.parse("oracle-mw"), inst)
-        runner.select_schedule = lambda q, t: (1, 1)
-        monkeypatch.setattr(engine, "Runner", lambda h, i: runner)
-        with pytest.raises(PolicyError):
+        table = inst.schedule_table
+        both = table.row[(1, 1)]
+        monkeypatch.setitem(table.memo, (0, 0), [(both, table.servers[both])])
+        with pytest.raises(PolicyError, match=r"schedule \(1, 1\) infeasible at t=1"):
             run_network(inst, "oracle-mw", 5, 0)
+
+    @pytest.mark.parametrize("policy", ["round-robin", "fixed:0", "mw-ucb", "oracle-bp"])
+    def test_schedule_set_without_zero_rejected(self, policy):
+        # No schedule fits the empty start, so no policy has a row to run.
+        inst = NetworkInstance(
+            n=2,
+            k=2,
+            arrivals=ArrivalModel(support=((1, 1), (0, 0)), probs=(0.5, 0.5)),
+            mu=(0.5, 0.5),
+            schedules=ScheduleSet(schedules=((1, 0), (0, 1))),
+            server_queue=(0, 1),
+            transitions=NetworkInstance.exit_only_transitions(2, 2),
+        )
+        with pytest.raises(PolicyError, match="lacks the all-zero schedule"):
+            run_network(inst, policy, 5, 0)
 
 
 class TestRunDispatcher:

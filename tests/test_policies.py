@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from clqsim import engine
 from clqsim.engine import run_network, run_single
 from clqsim.instances import random_with_slackness, tandem_instance
 from clqsim.model import (
@@ -18,11 +19,17 @@ from clqsim.policies import (
     PolicyHandle,
     PolicyState,
     Runner,
-    backpressure_select,
     feasible_schedules,
-    maxweight_select,
 )
-from reference import lcb_transition, mu_hat_of, r_hat_of, ucb_index, ucb_select
+from reference import (
+    backpressure_select,
+    lcb_transition,
+    maxweight_select,
+    mu_hat_of,
+    r_hat_of,
+    ucb_index,
+    ucb_select,
+)
 
 
 class TestUcbIndex:
@@ -135,22 +142,26 @@ class TestBackPressure:
 
 
 class TestObserve:
-    """The engine folds each selected server's outcome with PolicyState.record."""
+    """run_network folds each selected server's outcome into the run's tallies."""
 
-    def test_running_mean(self):
-        state = PolicyState(k=1, n=1)
-        state.counts = [3]
-        state.succ = [1]
-        state.record(0, 1, None)
+    def test_running_mean(self, monkeypatch):
+        # One always-busy server that always succeeds, from 1 success in 3:
+        # period 1 is idle, period 2 serves.
+        inst = single_to_network(SingleQueueInstance(1, 1.0, (1.0,)))
+        runner = Runner(PolicyHandle.parse("ucb"), inst)
+        runner.state.counts, runner.state.succ = [3], [1]
+        monkeypatch.setattr(engine, "Runner", lambda handle, instance: runner)
+        state = run_network(inst, "ucb", 2, 0).final_state
         assert state.counts == [4]
         assert mu_hat_of(state) == [0.5]
 
     def test_transition_indicator(self):
-        state = PolicyState(k=1, n=3)
-        state.record(0, 1, 2)
-        assert r_hat_of(state)[0] == [0.0, 0.0, 1.0]
-        state.record(0, 1, None)  # success that exits
-        assert r_hat_of(state)[0] == [0.0, 0.0, 0.5]
+        # Server 0 feeds queue 1 on every success; server 1's jobs exit,
+        # which tallies no transition.
+        tr = run_network(tandem_instance(2, (1.0, 1.0), 1.0), "bp-ucb", 10, 0)
+        state = tr.final_state
+        assert state.succ[0] > 0 and state.succ[1] > 0
+        assert r_hat_of(state) == [[0.0, 1.0], [0.0, 0.0]]
 
 
 class TestPolicyHandle:
@@ -212,15 +223,20 @@ class TestRunner:
         assert tr.schedule[busy].argmax(axis=1).tolist()[:4] == [0, 1, 2, 0]
 
     def test_oracle_mw_ignores_observations(self):
+        # Every busy period runs the faster server, from the first decision
+        # to the last, and the run keeps no tallies.
         net = single_to_network(SingleQueueInstance(2, 0.3, (0.3, 0.6)))
-        r = Runner(PolicyHandle.parse("oracle-mw"), net)
-        first = r.select_schedule([2], 1)
-        assert first == (0, 1)
-        assert r.select_schedule([2], 50) == first
+        tr = run_network(net, "oracle-mw", 200, 0)
+        busy = tr.q[:-1, 0] > 0
+        assert busy[:20].any() and busy[-20:].any()
+        assert tr.schedule[busy].tolist() == [[0, 1]] * int(busy.sum())
+        assert not tr.schedule[~busy].any()
+        assert tr.final_state is None
 
     def test_oracle_bp_uses_true_transition_rates(self):
-        # Server 0 (mu=0.9) pushes everything to queue 1; with queue 1
-        # long the oracle must keep server 0 idle.
+        # Server 0 (mu=0.9) pushes everything to queue 1; while queue 1 is
+        # the longer, the oracle must keep server 0 idle, where MaxWeight
+        # would run both servers.
         net = NetworkInstance(
             n=2,
             k=2,
@@ -230,8 +246,12 @@ class TestRunner:
             server_queue=(0, 1),
             transitions=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
         )
-        r = Runner(PolicyHandle.parse("oracle-bp"), net)
-        assert r.select_schedule([1, 5], 1) == (0, 1)
+        tr = run_network(net, "oracle-bp", 300, 0)
+        held = [t for t in range(300) if tr.q[t, 1] > tr.q[t, 0] >= 1]
+        assert held
+        for t in held:
+            assert tuple(tr.schedule[t].tolist()) == (0, 1)
+            assert maxweight_select(tr.q[t].tolist(), net.mu, net.schedule_table) == (1, 1)
 
 
 def _direct_oracle(policy, inst):
@@ -280,14 +300,22 @@ class TestOracleMemo:
             assert tuple(tr.schedule[t].tolist()) == select(tr.q[t].tolist())
 
     def test_equal_queues_on_two_instances(self, policy):
+        # The memo is per run: at q = (1, 1) the two instances choose
+        # differently, and a second run of the first chooses as its first
+        # did.  While one queue is empty, which the loop reaches by changing
+        # its queue list in place, the other's server runs: the key is the
+        # vector's value.
         a, b = _mirrored_pair()
-        q = [1, 1]
-        first = Runner(PolicyHandle.parse(policy), a)
-        assert first.select_schedule(q, 1) == (1, 0)
-        assert Runner(PolicyHandle.parse(policy), b).select_schedule(q, 1) == (0, 1)
-        assert Runner(PolicyHandle.parse(policy), a).select_schedule(q, 1) == (1, 0)
-        q[0] = 0  # the key is the queue vector's value, not the list
-        assert first.select_schedule(q, 2) == (0, 1)
+        for inst, at_ones in ((a, (1, 0)), (b, (0, 1)), (a, (1, 0))):
+            tr = run_network(inst, policy, 400, 1)
+            chosen = {}
+            for q, sigma in zip(tr.q[:-1].tolist(), tr.schedule.tolist()):
+                chosen.setdefault(tuple(q), set()).add(tuple(sigma))
+            assert chosen[(1, 1)] == {at_ones}
+            drained = {q: sigma for q, sigma in chosen.items() if (q[0] == 0) != (q[1] == 0)}
+            assert drained
+            for q, sigma in drained.items():
+                assert sigma == {(int(q[0] > 0), int(q[1] > 0))}
 
     def test_equal_queue_paths_on_two_instances(self, policy):
         chosen = []

@@ -21,15 +21,25 @@ from clqsim.model import (
     validate_instance,
 )
 from clqsim.policies import (
+    LEARNING_VARIANTS,
+    VARIANTS,
     PolicyHandle,
     PolicyState,
     Runner,
-    backpressure_select,
     feasible_rows,
     feasible_schedules,
-    maxweight_select,
 )
-from reference import delta_loss, lcb_transition, mu_hat_of, r_hat_of, ucb_index, ucb_select
+from reference import (
+    backpressure_select,
+    delta_loss,
+    lcb_transition,
+    maxweight_select,
+    mu_hat_of,
+    r_hat_of,
+    ucb_index,
+    ucb_indices,
+    ucb_select,
+)
 from slackness_oracle import slackness_by_enumeration
 
 from clqsim.model import instance_to_dict, as_network
@@ -528,19 +538,101 @@ class TestBoundSelectors:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(_NETWORKS), st.integers(1, 5000), st.data())
     def test_bp_ucb_equals_reference(self, inst, t, data):
-        q = data.draw(_queues(inst))
-        runner = Runner(PolicyHandle.parse("bp-ucb"), inst)
-        state = runner.state
-        for srv, (c, s) in enumerate(data.draw(_tallies(inst.k))):
-            state.counts[srv], state.succ[srv] = c, s
-            state.trans[srv] = [data.draw(st.integers(0, s))] + [0] * (inst.n - 1)
-        r_low = [
-            [lcb_transition(r / c if c else 0.0, c, t) for r in row]
-            for row, c in zip(state.trans, state.counts)
+        """From any tallies, with period 1 taking log(t)."""
+        tallies = data.draw(_tallies(inst.k))
+        trans = [[data.draw(st.integers(0, s))] + [0] * (inst.n - 1) for _, s in tallies]
+        horizon = data.draw(st.integers(1, 40))
+        _checked_network_run(inst, "bp-ucb", horizon, tallies=tallies, trans=trans, log=_shifted_log(t - 1))
+
+
+def _checked_network_run(inst, policy, horizon, seed=0, tallies=(), trans=(), log=math.log):
+    """run_network(inst, policy, ...) for a learning policy from the given
+    starting (count, successes) tallies and transition tally rows, with
+    math.log replaced by log in run_network and the references alike.
+    Asserts that every period's schedule is the reference selector's on the
+    tallies the trace's prefix gives: maxweight_select on ucb_indices for
+    ucb and mw-ucb, backpressure_select on ucb_index and lcb_transition for
+    bp-ucb.  Asserts that the run leaves those tallies and the horizon in its
+    state.  Returns the trace."""
+    runner = Runner(PolicyHandle.parse(policy), inst)
+    state = runner.state
+    for srv, (c, s) in enumerate(tallies):
+        state.counts[srv], state.succ[srv] = c, s
+    for srv, row in enumerate(trans):
+        state.trans[srv] = list(row)
+    ref = PolicyState(
+        k=inst.k, n=inst.n, counts=list(state.counts), succ=list(state.succ),
+        trans=[list(row) for row in state.trans],
+    )
+    table = inst.schedule_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "Runner", lambda handle, instance: runner)
+        mp.setattr(math, "log", log)
+        tr = run_network(inst, policy, horizon, seed)
+        for t, (q, sigma) in enumerate(zip(tr.q[:-1].tolist(), tr.schedule.tolist()), 1):
+            if policy == "bp-ucb":
+                mu_bar = [ucb_index(s / c if c else 0.0, c, t) for s, c in zip(ref.succ, ref.counts)]
+                r_low = [
+                    [lcb_transition(r / c if c else 0.0, c, t) for r in row]
+                    for row, c in zip(ref.trans, ref.counts)
+                ]
+                want = backpressure_select(q, mu_bar, r_low, table)
+            else:
+                want = maxweight_select(q, ucb_indices(ref, t), table)
+            assert tuple(sigma) == want, f"period {t}: {tuple(sigma)}, reference {want}"
+            for srv in np.flatnonzero(sigma).tolist():
+                ref.counts[srv] += 1
+                if tr.services[t - 1, srv]:
+                    ref.succ[srv] += 1
+                    if tr.targets is not None and (d := int(tr.targets[t - 1, srv])) < inst.n:
+                        ref.trans[srv][d] += 1
+    assert tr.final_state is state
+    assert (state.counts, state.succ, state.trans, state.t) == (
+        ref.counts, ref.succ, ref.trans, horizon
+    )
+    return tr
+
+
+_TANDEM = tandem_instance(3, (0.8, 0.7, 0.6), 0.4)
+
+
+def _some_networks():
+    return st.one_of(generated_networks(), st.just(_TANDEM))
+
+
+class TestNetworkDecisions:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(LEARNING_VARIANTS),
+        _some_networks(),
+        st.integers(0, 10_000),
+        st.integers(1, 60),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    def test_learner_equals_reference(self, policy, inst, shift, horizon, seed, data):
+        """Every decision of run_network's loop is the reference selector's,
+        from any tallies (repeated and untried ones force exact ties; a
+        shift of 0 takes log(1) = 0, so equal sample means tie too), with
+        period 1 taking log(1 + shift)."""
+        tallies = data.draw(_tallies(inst.k))
+        trans = [
+            data.draw(st.lists(st.integers(0, s), min_size=inst.n, max_size=inst.n))
+            for _, s in tallies
         ]
-        mu_bar = [ucb_index(s / c if c else 0.0, c, t) for s, c in zip(state.succ, state.counts)]
-        want = backpressure_select(q, mu_bar, r_low, inst.schedule_table)
-        assert runner.select_schedule(q, t) == want
+        _checked_network_run(inst, policy, horizon, seed, tallies, trans, _shifted_log(shift))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_some_networks(), st.integers(0, 2**32))
+    def test_every_schedule_fits(self, inst, seed):
+        """Each variant's every recorded schedule fits its start-of-period q."""
+        owned = np.zeros((inst.k, inst.n), dtype=np.int64)
+        owned[range(inst.k), inst.server_queue] = 1
+        for variant in VARIANTS:
+            policy = f"fixed:{seed % inst.k}" if variant == "fixed" else variant
+            tr = run_network(inst, policy, 200, seed)
+            need = tr.schedule.astype(np.int64) @ owned
+            assert (need <= tr.q[:-1]).all(), policy
 
 
 class TestFeasibleMemo:
@@ -550,6 +642,6 @@ class TestFeasibleMemo:
         table = inst.schedule_table
         q = data.draw(_queues(inst))
         rows = feasible_rows(table, q)
-        assert [sigma for sigma, _ in rows] == feasible_schedules(table, q)
-        assert all(servers == table.servers[table.row[sigma]] for sigma, servers in rows)
+        assert [table.schedules[r] for r, _ in rows] == feasible_schedules(table, q)
+        assert all(servers == table.servers[r] for r, servers in rows)
         assert feasible_rows(table, q) is rows  # a second lookup hits the memo
