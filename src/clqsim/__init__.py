@@ -29,7 +29,6 @@ from .policies import (
     PolicyError,
     PolicyHandle,
     PolicyState,
-    Runner,
     feasible_schedules,
 )
 from .engine import (

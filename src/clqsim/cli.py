@@ -289,11 +289,15 @@ def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, ep
     }
 
 
-def _run_policies(cfg: ExperimentConfig) -> list[str]:
-    """Policies a command runs: the configured ones, then the benchmark."""
+def _run_policies(cfg: ExperimentConfig, instances) -> list[str]:
+    """Policies a command runs: the configured ones, then the benchmark.  Each
+    resolves its server on every instance (PolicyHandle.server), so a fixed
+    server outside an instance's range fails before any job starts."""
     policies = list(cfg.policies)
     if cfg.benchmark and cfg.benchmark not in policies:
         policies.append(cfg.benchmark)
+    for policy, inst in itertools.product(policies, instances):
+        PolicyHandle.parse(policy).server(inst)
     return policies
 
 
@@ -334,7 +338,7 @@ def cmd_simulate(args) -> int:
     instances = resolve_instances(cfg.instance)
     if len(instances) != 1:
         raise ConfigError("simulate expects a single instance; use clq for families")
-    policies, eps = _run_policies(cfg), _run_epsilon(cfg, instances)
+    policies, eps = _run_policies(cfg, instances), _run_epsilon(cfg, instances)
     manifest = _manifest(cfg, instances[0], policies, args.config)
     # One pool runs the batch, then every policy's series row blocks together;
     # each file takes its own blocks in order, as they arrive.
@@ -415,7 +419,7 @@ def _output_failures(cfg: ExperimentConfig, instance, policies, config_path: str
 def cmd_clq(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     instances = resolve_instances(cfg.instance)
-    policies, eps = _run_policies(cfg), _run_epsilon(cfg, instances)
+    policies, eps = _run_policies(cfg, instances), _run_epsilon(cfg, instances)
     with _pool(len(instances) * len(policies) * len(cfg.seeds)) as pool:
         series = run_batch(cfg, instances, policies, False, eps, pool)
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
@@ -539,7 +543,7 @@ def cmd_verify(args) -> int:
     instances = resolve_instances(cfg.instance)
     # Only simulate writes output files, and it takes one instance.
     simulated = len(instances) == 1
-    policies = _run_policies(cfg)
+    policies = _run_policies(cfg, instances)
     jobs = _batch_jobs(cfg, instances, policies, cfg.write_traces and simulated)
     failures = []
     checked = 0

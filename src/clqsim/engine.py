@@ -20,7 +20,7 @@ from .model import (
     as_network,
     structure_constants,
 )
-from .policies import PolicyError, PolicyHandle, PolicyState, Runner, feasible_rows
+from .policies import PolicyError, PolicyHandle, PolicyState, feasible_rows
 
 STREAM_IDS = {"arrival": 0, "service": 1, "transition": 2, "policy": 3}
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -164,7 +164,6 @@ class Trace:
     arrivals: np.ndarray
     services: np.ndarray
     targets: np.ndarray | None
-    final_state: PolicyState | None
 
     def l1(self) -> np.ndarray:
         """Total queue length per period, t = 1..horizon."""
@@ -192,8 +191,8 @@ def run_single(
         raise ValueError("snapshot_stride must be 0: runs record no snapshots")
     k = instance.k
     mu = list(instance.mu)
-    runner = Runner(PolicyHandle.parse(policy), instance)
-    state = runner.state
+    handle = PolicyHandle.parse(policy)
+    j = handle.server(instance)
 
     arrive = (RandomSource(seed, "arrival").uniforms(horizon) <= instance.lam).astype(np.int64)
     if service_mode not in ("shared", "independent"):
@@ -201,27 +200,27 @@ def run_single(
     shared = service_mode == "shared"
     u_srv = RandomSource(seed, "service").uniforms(*((horizon,) if shared else (horizon, k)))
 
-    if runner.fixed_server is not None:
-        j = runner.fixed_server
+    if j is not None:
         q_hist = _lindley(arrive, (u_srv if shared else u_srv[:, j]) <= mu[j])
         srv_hist = np.where(q_hist[:horizon] > 0, j, -1)
     else:
-        # The loop decides itself: round-robin (on throwaway tallies), or (every
-        # learner reduces to it on one queue) UCB with ucb_indices' arithmetic, a
-        # first-index argmax by strict > where an untried server or the first
-        # index at the clamp 1.0 wins at once.  A full scan bounds the other
-        # indices up to period until (an index cannot fall while t grows and
-        # its tallies stand; 1e-9 covers math.log's last ulp), so while alone
-        # (no other server pulled since), a leader index in (bound, 1.0) wins.
+        # The loop decides itself: round-robin, or (every learner reduces to
+        # it on one queue) UCB with ucb_indices' arithmetic, a first-index
+        # argmax by strict > where an untried server or the first index at
+        # the clamp 1.0 wins at once.  A full scan bounds the other indices
+        # up to period until (an index cannot fall while t grows and its
+        # tallies stand; 1e-9 covers math.log's last ulp), so while alone (no
+        # other server pulled since), a leader index in (bound, 1.0) wins.
         u_srv = u_srv.tolist()
         q_list = [0] * (horizon + 1)
         srv_list = [-1] * horizon
-        counts, succ = (state.counts, state.succ) if state else ([0] * k, [0] * k)
+        state, learning = PolicyState(k, 1), handle.learning
+        counts, succ = state.counts, state.succ
         sqrt, log = math.sqrt, math.log
         until, bound, lead, alone, rr, q = 0, 1.0, 0, False, 0, 0
         for t, a in enumerate(arrive.tolist(), 1):
             if q:
-                if state is None:
+                if not learning:
                     j = rr % k
                     rr += 1
                 elif (
@@ -258,8 +257,6 @@ def run_single(
     # Q(t+1) = Q(t) - S(t) + A(t) gives each busy period's service outcome.
     svc_hist = q_hist[:-1] - q_hist[1:] + arrive
     rows = np.nonzero(srv_hist >= 0)[0]
-    if state is not None and rows.size:
-        state.t = int(rows[-1]) + 1  # the last decision's period
     schedule = np.zeros((horizon, k), dtype=np.uint8)
     services = np.zeros((horizon, k), dtype=np.uint8)
     schedule[rows, srv_hist[rows]] = 1
@@ -274,7 +271,6 @@ def run_single(
         arrivals=arrive.astype(np.uint8).reshape(-1, 1),
         services=services,
         targets=None,
-        final_state=state,
     )
 
 
@@ -297,8 +293,7 @@ def run_network(
         raise ValueError("snapshot_stride must be 0: runs record no snapshots")
     net = as_network(instance)
     handle = PolicyHandle.parse(policy)
-    runner = Runner(handle, net)
-    state = runner.state
+    fixed = handle.server(net)
     k, n = net.k, net.n
     mu = list(net.mu)
     owner = list(net.server_queue)
@@ -340,18 +335,15 @@ def run_network(
         raise PolicyError("schedule set lacks the all-zero schedule")
     v = handle.variant
     rotate = v == "round-robin"
-    j = 0 if rotate else runner.fixed_server
+    j = 0 if rotate else fixed
     lone = [table.row.get(tuple(int(i == s) for i in range(k)), idle) for s in range(k)]
     oracle, bp = v in ("oracle-mw", "oracle-bp"), v in ("bp-ucb", "oracle-bp")
     low_true = [
         [(d, mu[srv] * p) for d, p in enumerate(net.transitions[srv][:n]) if mu[srv] * p] if bp else ()
         for srv in range(k)
     ]
-    counts, succ, trans = (
-        (state.counts, state.succ, state.trans)
-        if state
-        else ([0] * k, [0] * k, [[0] * n for _ in range(k)])
-    )
+    state = PolicyState(k, n)
+    counts, succ, trans = state.counts, state.succ, state.trans
     servers, demand, memo, cap = table.servers, table.demand, table.memo, table.cap
     gain, chosen, rr = [0.0] * k, {}, 0
     sqrt, log = math.sqrt, math.log
@@ -370,12 +362,12 @@ def run_network(
             if len(fits) == 1:
                 r = fits[0][0]
             else:
-                two_log = 2.0 * log(t) if state else 0.0
+                two_log = 0.0 if oracle else 2.0 * log(t)
                 for srv, o in enumerate(owner):
                     if not q[o]:
                         continue
                     pen = 0.0
-                    if state is None:
+                    if oracle:
                         g = mu[srv] * q[o]
                         for d, x in low_true[srv]:
                             pen += x * q[d]
@@ -417,8 +409,6 @@ def run_network(
         for qi in arr_ones[ai]:
             q[qi] += 1
     q_rows.append(q)
-    if state is not None:
-        state.t = horizon  # the last decision's period
 
     services = np.zeros((horizon, k), dtype=np.uint8)
     services.reshape(-1)[served] = 1
@@ -432,7 +422,6 @@ def run_network(
         arrivals=support[arr_idx],
         services=services,
         targets=None if dest is None else np.where(services == 1, dest, -1).astype(np.int16),
-        final_state=state,
     )
 
 

@@ -71,19 +71,6 @@ class ArrivalModel:
         # pathwise identical to the scalar single-queue arrival draw.
         return cls(support=((1,), (0,)), probs=(float(lam), 1.0 - float(lam)))
 
-    @classmethod
-    def bernoulli_product(cls, rates: Sequence[float]) -> "ArrivalModel":
-        """Independent Bernoulli arrivals per queue, full product support."""
-        n = len(rates)
-        rows, probs = [], []
-        for row in itertools.product((0, 1), repeat=n):
-            p = 1.0
-            for r, bit in zip(rates, row):
-                p *= r if bit else 1.0 - r
-            rows.append(row)
-            probs.append(p)
-        return cls(support=tuple(rows), probs=tuple(probs))
-
 
 @dataclass(frozen=True)
 class ScheduleSet:

@@ -1,9 +1,11 @@
-"""Policy names and per-run state for the learning schedulers (UCB, MW-UCB,
-BP-UCB) and their full-knowledge oracles, and the feasible-schedule lookup.
-run_single and run_network make the decisions in their own loops.
+"""Policy names for the learning schedulers (UCB, MW-UCB, BP-UCB) and their
+full-knowledge oracles, the per-run tallies, and the feasible-schedule lookup.
+run_single and run_network make every decision in their own loops, on a
+PolicyState they allocate per run; PolicyHandle.server resolves the one
+server of a fixed-server run.
 
-Learning state keeps integer success/selection counts so sample means are
-exact ratios, never drifting running averages.
+The tallies are integer success/selection counts, so sample means are exact
+ratios, never drifting running averages.
 """
 from __future__ import annotations
 
@@ -33,11 +35,10 @@ class PolicyError(ValueError):
 
 @dataclass
 class PolicyState:
-    """Learning state: per-server counts, successes, transition tallies."""
+    """Per-run tallies: per-server counts, successes, transition tallies."""
 
     k: int
     n: int
-    t: int = 1
     counts: list[int] = field(default_factory=list)
     succ: list[int] = field(default_factory=list)
     trans: list[list[int]] = field(default_factory=list)
@@ -76,8 +77,8 @@ def feasible_rows(table: ScheduleTable, q: Sequence[int]) -> list:
 class PolicyHandle:
     """Variant tag plus the parameters the variant needs.
 
-    Oracle runners receive true rates from the instance at run time;
-    learning runners never see them.
+    Oracles read true rates from the instance at run time; learners never
+    see them.
     """
 
     variant: str
@@ -101,31 +102,20 @@ class PolicyHandle:
         return cls(variant=name)
 
     @property
-    def name(self) -> str:
-        if self.variant == "fixed":
-            return f"fixed:{self.fixed_server}"
-        return self.variant
-
-    @property
     def learning(self) -> bool:
         return self.variant in LEARNING_VARIANTS
 
+    def server(self, inst: SingleQueueInstance | NetworkInstance) -> int | None:
+        """The one server a run of this policy on inst uses: j for fixed:j
+        (a PolicyError unless 0 <= j < inst.k), the fastest for oracle-best
+        and, on a single queue, for every oracle; None for round-robin and
+        the learners."""
+        v = self.variant
+        if v == "fixed":
+            if not 0 <= self.fixed_server < inst.k:
+                raise PolicyError(f"fixed server {self.fixed_server} outside range")
+            return self.fixed_server
+        if v == "oracle-best" or (v.startswith("oracle") and isinstance(inst, SingleQueueInstance)):
+            return max(range(inst.k), key=lambda i: inst.mu[i])
+        return None
 
-class Runner:
-    """Per-run state of one policy on one instance: the learning tallies
-    (None unless the policy learns) and the one server a fixed-server run
-    uses (None otherwise).  run_single and run_network make every decision
-    in their own loops.
-    """
-
-    def __init__(self, handle: PolicyHandle, inst: SingleQueueInstance | NetworkInstance):
-        single = isinstance(inst, SingleQueueInstance)
-        k = inst.k
-        self.state = PolicyState(k=k, n=1 if single else inst.n) if handle.learning else None
-        v = handle.variant
-        if v == "fixed" and not 0 <= handle.fixed_server < k:
-            raise PolicyError(f"fixed server {handle.fixed_server} outside range")
-        # On one queue every oracle serves the best server.
-        self.fixed_server = handle.fixed_server
-        if v == "oracle-best" or (single and v.startswith("oracle")):
-            self.fixed_server = max(range(k), key=lambda i: inst.mu[i])

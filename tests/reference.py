@@ -1,11 +1,12 @@
 """One-period references that the tests bind the fast paths to, bit for bit.
 
-The package computes these quantities over whole runs (the decision loops
-of run_single and run_network, metrics.delta_series) or keeps only the
-integer tallies they come from (PolicyState); the functions here compute
-one period at a time in the plainest form. The weight arithmetic itself is
-the package's metrics._weight, so the bitwise bindings compare like with
-like.
+The package computes these quantities over whole runs: the decision loops
+of run_single and run_network, on the integer tallies (PolicyState) each
+run allocates and updates in place, and metrics.delta_series. The
+functions here compute one period at a time in the plainest form, from a
+PolicyState and the period t. A run's tallies are its trace's own column
+sums (tallies_of). The weight arithmetic itself is the package's
+metrics._weight, so the bitwise bindings compare like with like.
 """
 from __future__ import annotations
 
@@ -14,6 +15,16 @@ import math
 from clqsim.metrics import _weight
 from clqsim.model import as_network
 from clqsim.policies import PolicyState
+
+
+def tallies_of(trace) -> PolicyState:
+    """The tallies a run leaves, from its trace: per server, the periods it
+    ran, its successes and, per queue, the successes that moved there."""
+    k, n = trace.schedule.shape[1], trace.q.shape[1]
+    state = PolicyState(k, n, trace.schedule.sum(axis=0).tolist(), trace.services.sum(axis=0).tolist())
+    if trace.targets is not None:
+        state.trans = [[int((trace.targets[:, srv] == d).sum()) for d in range(n)] for srv in range(k)]
+    return state
 
 
 def mu_hat_of(state: PolicyState) -> list[float]:
@@ -50,11 +61,12 @@ def ucb_indices(state: PolicyState, t: int) -> list[float]:
     ]
 
 
-def ucb_select(state: PolicyState, q: int) -> int | None:
-    """Server with the highest optimistic index; None when the queue is empty."""
+def ucb_select(state: PolicyState, q: int, t: int) -> int | None:
+    """Server with the highest optimistic index at period t; None when the
+    queue is empty."""
     if q == 0:
         return None
-    idx = ucb_indices(state, state.t)
+    idx = ucb_indices(state, t)
     return idx.index(max(idx))
 
 

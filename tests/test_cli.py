@@ -230,6 +230,32 @@ class TestSimulate:
         assert main(["simulate", "-c", cfg]) == 1
 
 
+class TestFixedServerRange:
+    """A fixed server outside an instance's range, configured or benchmark,
+    fails before any job runs or any file is written."""
+
+    @pytest.mark.parametrize(
+        "command, server, overrides",
+        [
+            ("simulate", 7, {"policies": ["ucb", "fixed:7"], "seeds": [0, 1]}),
+            ("simulate", 5, {"benchmark": "fixed:5"}),
+            ("verify", 7, {"policies": ["ucb", "fixed:7"]}),
+            ("clq", 3, {"instance": {"family": "lower-bound", "k": 3, "epsilon": 0.1}, "policies": ["fixed:3"]}),
+            ("clq", 5, {"benchmark": "fixed:5"}),
+        ],
+    )
+    def test_exit_one_before_any_run(self, tmp_path, fig1_file, capsys, monkeypatch, command, server, overrides):
+        runs = []
+        monkeypatch.setenv("CLQ_WORKERS", "1")
+        monkeypatch.setattr(cli, "run", lambda *args: runs.append(args) or run(*args))
+        cfg = _config(tmp_path, **overrides)
+        assert main([command, "-c", cfg]) == 1
+        assert capsys.readouterr().out == f"error: fixed server {server} outside range\n"
+        assert runs == []
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+
 class _CountingPool(ProcessPoolExecutor):
     """A real process pool that counts its starts and records (function name,
     job count) per map."""

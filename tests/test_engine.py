@@ -31,7 +31,7 @@ from clqsim.model import (
     single_to_network,
     slackness_single,
 )
-from clqsim.policies import PolicyError
+from clqsim.policies import PolicyError, PolicyState
 from reference import mu_hat_of
 
 
@@ -198,9 +198,10 @@ class TestRunSingle:
             with pytest.raises(ValueError, match="snapshot_stride must be 0"):
                 fn(inst, "ucb", 100, 0, snapshot_stride=10)
 
-    def test_estimates_are_exact_ratios(self):
+    def test_estimates_are_exact_ratios(self, monkeypatch):
+        state = PolicyState(5, 1)
+        monkeypatch.setattr(engine, "PolicyState", lambda k, n: state)
         tr = run_single(figure1_instance(), "ucb", 400, 9)
-        state = tr.final_state
         for k in range(5):
             served = int(tr.schedule[:, k].sum())
             won = int(tr.services[:, k].sum())
@@ -269,7 +270,6 @@ class TestFixedServerClosedForm:
             want = _fixed_server_reference(inst, server, horizon, seed, service_mode)
             for got, ref in zip((tr.q, tr.schedule, tr.services, tr.arrivals), want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
-            assert tr.final_state is None
 
     def test_line_count_sees_the_loop(self):
         inst = figure1_instance()

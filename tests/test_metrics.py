@@ -52,7 +52,6 @@ def _hand_trace(q_rows, instance, schedule=None):
         arrivals=np.zeros((h, q.shape[1]), dtype=np.uint8),
         services=np.zeros((h, k), dtype=np.uint8),
         targets=None,
-        final_state=None,
     )
 
 

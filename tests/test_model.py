@@ -24,11 +24,15 @@ from clqsim.model import (
 )
 
 
+# Independent Bernoulli(0.2) arrivals at each of two queues.
+BERNOULLI_02_02 = ArrivalModel(support=((0, 0), (0, 1), (1, 0), (1, 1)), probs=(0.64, 0.16, 0.16, 0.04))
+
+
 def two_queue_singletons() -> NetworkInstance:
     return NetworkInstance(
         n=2,
         k=2,
-        arrivals=ArrivalModel.bernoulli_product((0.2, 0.2)),
+        arrivals=BERNOULLI_02_02,
         mu=(0.6, 0.6),
         schedules=ScheduleSet(schedules=((1, 0), (0, 1), (0, 0))),
         server_queue=(0, 1),
@@ -55,13 +59,14 @@ class TestArrivalModel:
         assert m.means == pytest.approx([0.45])
 
     def test_product_means(self):
-        m = ArrivalModel.bernoulli_product((0.2, 0.5))
+        # Independent Bernoulli(0.2) and Bernoulli(0.5) arrivals.
+        m = ArrivalModel(support=((0, 0), (0, 1), (1, 0), (1, 1)), probs=(0.4, 0.4, 0.1, 0.1))
         assert sorted(m.support) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert m.means == pytest.approx([0.2, 0.5])
         assert sum(m.probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_cumulative_ends_at_one(self):
-        m = ArrivalModel.bernoulli_product((0.3, 0.7))
+        m = ArrivalModel(support=((0, 0), (0, 1), (1, 0), (1, 1)), probs=(0.21, 0.49, 0.09, 0.21))
         assert m.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,7 +119,7 @@ class TestValidate:
         inst = NetworkInstance(
             n=2,
             k=2,
-            arrivals=ArrivalModel.bernoulli_product((0.2, 0.2)),
+            arrivals=BERNOULLI_02_02,
             mu=(0.6, 0.6),
             schedules=ScheduleSet(schedules=((1, 0), (0, 1), (0, 0))),
             server_queue=(0, 1),
@@ -153,7 +158,7 @@ class TestStructureConstants:
         full = NetworkInstance(
             n=2,
             k=2,
-            arrivals=ArrivalModel.bernoulli_product((0.2, 0.2)),
+            arrivals=BERNOULLI_02_02,
             mu=(0.6, 0.6),
             schedules=ScheduleSet.closure([(1, 1)], 2),
             server_queue=(0, 1),

@@ -18,7 +18,6 @@ from clqsim.policies import (
     PolicyError,
     PolicyHandle,
     PolicyState,
-    Runner,
     feasible_schedules,
 )
 from reference import (
@@ -27,6 +26,7 @@ from reference import (
     maxweight_select,
     mu_hat_of,
     r_hat_of,
+    tallies_of,
     ucb_index,
     ucb_select,
 )
@@ -71,22 +71,21 @@ class TestLcbTransition:
 class TestUcbSelect:
     def test_empty_queue_idles(self):
         state = PolicyState(k=3, n=1)
-        assert ucb_select(state, 0) is None
+        assert ucb_select(state, 0, 1) is None
 
     def test_cold_start_picks_lowest_index(self):
         state = PolicyState(k=3, n=1)
-        assert ucb_select(state, 5) == 0
+        assert ucb_select(state, 5, 1) == 0
 
     def test_tie_break(self):
         state = PolicyState(k=3, n=1)
-        state.t = 100
         # Indices engineered to (low, tie, tie): server 1 wins the tie.
         state.counts = [400, 100, 100]
         state.succ = [40, 55, 55]
         i1 = ucb_index(0.1, 400, 100)
         i2 = ucb_index(0.55, 100, 100)
         assert i1 < i2
-        assert ucb_select(state, 1) == 1
+        assert ucb_select(state, 1, 100) == 1
 
 
 class TestFeasibleSchedules:
@@ -148,32 +147,32 @@ class TestObserve:
         # One always-busy server that always succeeds, from 1 success in 3:
         # period 1 is idle, period 2 serves.
         inst = single_to_network(SingleQueueInstance(1, 1.0, (1.0,)))
-        runner = Runner(PolicyHandle.parse("ucb"), inst)
-        runner.state.counts, runner.state.succ = [3], [1]
-        monkeypatch.setattr(engine, "Runner", lambda handle, instance: runner)
-        state = run_network(inst, "ucb", 2, 0).final_state
+        state = PolicyState(1, 1, [3], [1])
+        monkeypatch.setattr(engine, "PolicyState", lambda k, n: state)
+        run_network(inst, "ucb", 2, 0)
         assert state.counts == [4]
         assert mu_hat_of(state) == [0.5]
 
-    def test_transition_indicator(self):
+    def test_transition_indicator(self, monkeypatch):
         # Server 0 feeds queue 1 on every success; server 1's jobs exit,
         # which tallies no transition.
+        state = PolicyState(2, 2)
+        monkeypatch.setattr(engine, "PolicyState", lambda k, n: state)
         tr = run_network(tandem_instance(2, (1.0, 1.0), 1.0), "bp-ucb", 10, 0)
-        state = tr.final_state
         assert state.succ[0] > 0 and state.succ[1] > 0
         assert r_hat_of(state) == [[0.0, 1.0], [0.0, 0.0]]
+        assert state == tallies_of(tr)
 
 
 class TestPolicyHandle:
     def test_parse_round_trip(self):
         for name in ("ucb", "mw-ucb", "bp-ucb", "oracle-best", "oracle-mw", "oracle-bp", "round-robin"):
-            assert PolicyHandle.parse(name).name == name
+            assert PolicyHandle.parse(name).variant == name
 
     def test_fixed_parse(self):
         for j in (0, 3, 12):
             h = PolicyHandle.parse(f"fixed:{j}")
-            assert h.fixed_server == j
-            assert h.name == f"fixed:{j}"
+            assert (h.variant, h.fixed_server) == ("fixed", j)
 
     def test_unknown_rejected(self):
         with pytest.raises(PolicyError):
@@ -205,33 +204,37 @@ def _busy_servers(trace) -> set:
 
 
 class TestRunner:
+    """Runs of the fixed-server, round-robin and oracle variants, and the
+    server PolicyHandle.server resolves for each."""
+
     def test_oracle_best_is_pure(self):
         inst = SingleQueueInstance(3, 0.4, (0.2, 0.9, 0.5))
-        assert Runner(PolicyHandle.parse("oracle-best"), inst).fixed_server == 1
+        assert PolicyHandle.parse("oracle-best").server(inst) == 1
         assert _busy_servers(run_single(inst, "oracle-best", 60, 0)) == {1}
 
     def test_fixed_server(self):
         inst = SingleQueueInstance(3, 0.4, (0.2, 0.9, 0.5))
-        assert Runner(PolicyHandle.parse("fixed:2"), inst).fixed_server == 2
+        assert PolicyHandle.parse("fixed:2").server(inst) == 2
         assert _busy_servers(run_single(inst, "fixed:2", 60, 0)) == {2}
 
     def test_round_robin_cycles(self):
         inst = SingleQueueInstance(3, 0.4, (0.2, 0.9, 0.5))
-        assert Runner(PolicyHandle.parse("round-robin"), inst).fixed_server is None
+        assert PolicyHandle.parse("round-robin").server(inst) is None
         tr = run_single(inst, "round-robin", 60, 0)
         busy = tr.q[:-1, 0] > 0
         assert tr.schedule[busy].argmax(axis=1).tolist()[:4] == [0, 1, 2, 0]
 
     def test_oracle_mw_ignores_observations(self):
         # Every busy period runs the faster server, from the first decision
-        # to the last, and the run keeps no tallies.
+        # to the last.  On the network embedding the oracle decides by row,
+        # not as a fixed server.
         net = single_to_network(SingleQueueInstance(2, 0.3, (0.3, 0.6)))
+        assert PolicyHandle.parse("oracle-mw").server(net) is None
         tr = run_network(net, "oracle-mw", 200, 0)
         busy = tr.q[:-1, 0] > 0
         assert busy[:20].any() and busy[-20:].any()
         assert tr.schedule[busy].tolist() == [[0, 1]] * int(busy.sum())
         assert not tr.schedule[~busy].any()
-        assert tr.final_state is None
 
     def test_oracle_bp_uses_true_transition_rates(self):
         # Server 0 (mu=0.9) pushes everything to queue 1; while queue 1 is
@@ -255,7 +258,7 @@ class TestRunner:
 
 
 def _direct_oracle(policy, inst):
-    """The oracle's selector called without the Runner, on true rates."""
+    """The oracle's selector called directly, on true rates."""
     table = inst.schedule_table
     if policy == "oracle-mw":
         return lambda q: maxweight_select(q, inst.mu, table)

@@ -11,6 +11,8 @@ from clqsim.engine import replay_error, run, run_network, run_single
 from clqsim.instances import random_with_slackness, tandem_instance
 from clqsim.metrics import delta_series, sar_multi, sar_single
 from clqsim.model import (
+    ArrivalModel,
+    NetworkInstance,
     ScheduleSet,
     ScheduleTable,
     SingleQueueInstance,
@@ -23,9 +25,7 @@ from clqsim.model import (
 from clqsim.policies import (
     LEARNING_VARIANTS,
     VARIANTS,
-    PolicyHandle,
     PolicyState,
-    Runner,
     feasible_rows,
     feasible_schedules,
 )
@@ -36,6 +36,7 @@ from reference import (
     maxweight_select,
     mu_hat_of,
     r_hat_of,
+    tallies_of,
     ucb_index,
     ucb_indices,
     ucb_select,
@@ -149,11 +150,10 @@ class TestPolicyInvariants:
     def test_ucb_select_is_index_argmax(self, stats, t, q):
         k = len(stats)
         state = PolicyState(k, 1)
-        state.t = t
         for i, (mu_hat, count) in enumerate(stats):
             state.counts[i] = count
             state.succ[i] = mu_hat * count
-        choice = ucb_select(state, q)
+        choice = ucb_select(state, q, t)
         idx = [ucb_index(mu_hat_of(state)[i], state.counts[i], t) for i in range(k)]
         assert choice == int(np.argmax(idx))  # argmax takes the lowest index on ties
 
@@ -206,7 +206,7 @@ class TestEstimatorInvariants:
     def test_transition_mass_below_service(self, seed):
         inst = tandem_instance(2, (0.8, 0.6), 0.5)
         tr = run_network(inst, "bp-ucb", 200, seed)
-        state = tr.final_state
+        state = tallies_of(tr)
         for k in range(inst.k):
             assert sum(r_hat_of(state)[k]) <= mu_hat_of(state)[k] + 1e-12
 
@@ -216,7 +216,7 @@ class TestEstimatorInvariants:
         # Hoeffding at T = 500: per-server failure odds ~ T^-4, and the
         # run is seed-deterministic, so this cannot flake.
         tr = run_single(inst, "ucb", 500, seed)
-        state = tr.final_state
+        state = tallies_of(tr)
         t = 501
         for k in range(inst.k):
             if state.counts[k] == 0:
@@ -350,28 +350,24 @@ def _checked_ucb_run(inst, horizon, seed=0, mode="shared", tallies=(), log=math.
     """run_single(inst, "ucb", ...) from the given starting (count, successes)
     tallies, with math.log replaced by log in run_single and ucb_select alike.
     Asserts that every busy period's server is ucb_select's on the tallies
-    the trace's prefix gives, and that the run leaves those tallies and the
-    last busy period in its state.  Returns the trace."""
-    runner = Runner(PolicyHandle.parse("ucb"), inst)
-    state = runner.state
+    the trace's prefix gives, and that the run leaves those tallies in the
+    state it was given.  Returns the trace."""
+    state = PolicyState(inst.k, 1)
     for srv, (c, s) in enumerate(tallies):
         state.counts[srv], state.succ[srv] = c, s
-    counts, succ, last = list(state.counts), list(state.succ), 1
+    counts, succ = list(state.counts), list(state.succ)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "Runner", lambda handle, instance: runner)
+        mp.setattr(engine, "PolicyState", lambda k, n: state)
         mp.setattr(math, "log", log)
         tr = run_single(inst, "ucb", horizon, seed, service_mode=mode)
         for t, (q, row, won) in enumerate(zip(tr.q[:-1, 0].tolist(), tr.schedule, tr.services), 1):
-            ref = PolicyState(k=inst.k, n=1, t=t, counts=list(counts), succ=list(succ))
-            want = ucb_select(ref, q)
+            want = ucb_select(PolicyState(inst.k, 1, list(counts), list(succ)), q, t)
             assert row.sum() == (q > 0), f"period {t}"
             if want is not None:
                 assert row[want] == 1, f"period {t}: server {row.argmax()}, ucb_select {want}"
                 counts[want] += 1
                 succ[want] += int(won[want])
-                last = t
-    assert tr.final_state is state
-    assert (state.counts, state.succ, state.t) == (counts, succ, last)
+    assert (state.counts, state.succ) == (counts, succ)
     return tr
 
 
@@ -474,7 +470,6 @@ class TestBoundSelectors:
         busy = tr.q[:-1, 0] > 0
         assert (tr.schedule.sum(axis=1) == busy).all()
         assert tr.schedule[busy].argmax(axis=1).tolist() == [i % k for i in range(busy.sum())]
-        assert tr.final_state is None
 
     def test_leader_bound_stops_at_the_clamp(self):
         """Periods 2 and 3 take log(1000) and log(1001).  Server 0 crosses the
@@ -552,10 +547,9 @@ def _checked_network_run(inst, policy, horizon, seed=0, tallies=(), trans=(), lo
     Asserts that every period's schedule is the reference selector's on the
     tallies the trace's prefix gives: maxweight_select on ucb_indices for
     ucb and mw-ucb, backpressure_select on ucb_index and lcb_transition for
-    bp-ucb.  Asserts that the run leaves those tallies and the horizon in its
-    state.  Returns the trace."""
-    runner = Runner(PolicyHandle.parse(policy), inst)
-    state = runner.state
+    bp-ucb.  Asserts that the run leaves those tallies in the state it was
+    given.  Returns the trace."""
+    state = PolicyState(inst.k, inst.n)
     for srv, (c, s) in enumerate(tallies):
         state.counts[srv], state.succ[srv] = c, s
     for srv, row in enumerate(trans):
@@ -566,7 +560,7 @@ def _checked_network_run(inst, policy, horizon, seed=0, tallies=(), trans=(), lo
     )
     table = inst.schedule_table
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "Runner", lambda handle, instance: runner)
+        mp.setattr(engine, "PolicyState", lambda k, n: state)
         mp.setattr(math, "log", log)
         tr = run_network(inst, policy, horizon, seed)
         for t, (q, sigma) in enumerate(zip(tr.q[:-1].tolist(), tr.schedule.tolist()), 1):
@@ -586,10 +580,7 @@ def _checked_network_run(inst, policy, horizon, seed=0, tallies=(), trans=(), lo
                     ref.succ[srv] += 1
                     if tr.targets is not None and (d := int(tr.targets[t - 1, srv])) < inst.n:
                         ref.trans[srv][d] += 1
-    assert tr.final_state is state
-    assert (state.counts, state.succ, state.trans, state.t) == (
-        ref.counts, ref.succ, ref.trans, horizon
-    )
+    assert (state.counts, state.succ, state.trans) == (ref.counts, ref.succ, ref.trans)
     return tr
 
 
@@ -621,6 +612,24 @@ class TestNetworkDecisions:
             for _, s in tallies
         ]
         _checked_network_run(inst, policy, horizon, seed, tallies, trans, _shifted_log(shift))
+
+    def test_bp_penalty_in_ascending_queue_order(self):
+        """Both servers of queue 0 route to queues 1..3 with the same LCBs in
+        mirrored order, so their penalties differ only in the rounding of the
+        sum.  Summed from queue 0 up, server 1's is the smaller, so period 2
+        (every queue at 1) runs (0, 1); summed from queue 3 down, (1, 0)."""
+        inst = NetworkInstance(
+            n=4,
+            k=2,
+            arrivals=ArrivalModel(support=((1, 1, 1, 1),), probs=(1.0,)),
+            mu=(0.5, 0.5),
+            schedules=ScheduleSet.closure([(1, 0), (0, 1)], 2),
+            server_queue=(0, 0),
+            transitions=((0.0, 0.2, 0.2, 0.2, 0.4),) * 2,
+        )
+        trans = [[0, 10, 10, 30], [0, 30, 10, 10]]
+        tr = _checked_network_run(inst, "bp-ucb", 2, tallies=[(50, 50)] * 2, trans=trans)
+        assert tr.schedule.tolist() == [[0, 0], [0, 1]]
 
     @settings(max_examples=20, deadline=None)
     @given(_some_networks(), st.integers(0, 2**32))
