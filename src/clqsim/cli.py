@@ -168,9 +168,10 @@ class ExperimentConfig:
         return cls(**doc)
 
 
-# Each family and the spec fields it cannot do without.
-_FAMILIES = {"figure1": (), "lower-bound": ("k", "epsilon"), "tandem": ("mu", "n", "lambda0")}
-_FAMILIES |= dict.fromkeys(("random-single", "random-multi", "random-network"), ("k", "epsilon"))
+# Each family: the spec fields it cannot do without, then those it may also take.
+_FAMILIES = {"figure1": ((), ()), "lower-bound": (("k", "epsilon"), ()), "tandem": (("mu", "n", "lambda0"), ())}
+_RANDOM_FIELDS = (("k", "epsilon"), ("n", "seed"))
+_FAMILIES |= dict.fromkeys(("random-single", "random-multi", "random-network"), _RANDOM_FIELDS)
 
 
 def build_family(spec: dict):
@@ -178,9 +179,13 @@ def build_family(spec: dict):
     family = spec.get("family")
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"unknown family {family!r}; know {tuple(_FAMILIES)}")
-    for name in _FAMILIES[family]:
+    required, optional = _FAMILIES[family]
+    for name in required:
         if name not in spec:
             raise ConfigError(f"family {family!r} needs field {name!r}")
+    unknown = set(spec) - {"family", *required, *optional}
+    if unknown:
+        raise ConfigError(f"family {family!r} takes no fields {sorted(unknown, key=str)}")
     mu = spec.get("mu", [])
     if not isinstance(mu, (list, tuple)):
         raise ConfigError(f"mu must be a list, got {mu!r}")
@@ -231,12 +236,13 @@ def _workers(n_jobs: int) -> int:
 
 def _batch_jobs(cfg: ExperimentConfig, instances, policies, traces: bool) -> list:
     """(instance, policy, seed, horizon, trace path or None when traces is off)
-    of each (member, policy, seed), in job order."""
+    of each (policy, seed, member), in job order: seeds ascending, members in
+    family order, the order run_batch folds each policy's rows in."""
     return [
         (inst, policy, seed, cfg.horizon, _trace_path(cfg.out_dir, policy, seed) if traces else None)
-        for inst in instances
         for policy in policies
-        for seed in cfg.seeds
+        for seed in sorted(cfg.seeds)
+        for inst in instances
     ]
 
 
@@ -266,27 +272,23 @@ def _simulate_job(args):
     trace = run(inst, policy, horizon, seed)
     if trace_path is not None:
         trace_to_csv(trace, trace_path)
-    return (policy, seed) + series_row(trace, eps, include_delta)
+    return series_row(trace, eps, include_delta)
 
 
 def run_batch(cfg: ExperimentConfig, instances, policies, write_traces: bool, eps, pool=None):
-    """Fan (member, policy, seed) jobs over pool (None: inline) and aggregate.
+    """Fan _batch_jobs over pool (None: inline) and fold each policy's rows
+    as they arrive, in job order, so the aggregate floats never depend on
+    worker scheduling and no job's row outlives its fold.
 
     eps is the SaR slackness _run_epsilon resolved (None: no SaR column).
-    Per-seed results are combined in sorted order so the aggregate floats
-    never depend on worker scheduling.
     """
-    if write_traces:
-        os.makedirs(cfg.out_dir, exist_ok=True)
     jobs = [
         job + (eps, cfg.include_delta)
         for job in _batch_jobs(cfg, instances, policies, write_traces)
     ]
-    results = sorted(_fan_out(_simulate_job, jobs, pool), key=lambda r: (r[0], r[1]))
-    return {
-        policy: fold_series(cfg.horizon, (r[2:] for r in results if r[0] == policy))
-        for policy in policies
-    }
+    rows = _fan_out(_simulate_job, jobs, pool)
+    per_policy = len(jobs) // len(policies)
+    return {policy: fold_series(cfg.horizon, itertools.islice(rows, per_policy)) for policy in policies}
 
 
 def _run_policies(cfg: ExperimentConfig, instances) -> list[str]:
@@ -340,11 +342,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate expects a single instance; use clq for families")
     policies, eps = _run_policies(cfg, instances), _run_epsilon(cfg, instances)
     manifest = _manifest(cfg, instances[0], policies, args.config)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     # One pool runs the batch, then every policy's series row blocks together;
     # each file takes its own blocks in order, as they arrive.
     with _pool(len(policies) * max(len(cfg.seeds), -(-cfg.horizon // SERIES_BLOCK))) as pool:
         series = run_batch(cfg, instances, policies, cfg.write_traces, eps, pool)
-        os.makedirs(cfg.out_dir, exist_ok=True)
         bench = series.get(cfg.benchmark) if cfg.benchmark else None
         blocks = {p: series_blocks(series[p], bench if p != cfg.benchmark else None) for p in policies}
         texts = _fan_out(render_series_block, [b for p in policies for b in blocks[p]], pool)

@@ -430,18 +430,27 @@ def _field(doc: dict, name: str, conv, depth: int = 0, label: str | None = None)
         ) from None
 
 
+_SINGLE_FIELDS = {"kind", "n", "k", "lambda", "mu"}
+_NETWORK_FIELDS = _SINGLE_FIELDS | {"schedules", "server_queue", "transitions"}  # multi and network
+
+
 def instance_from_dict(doc: dict) -> SingleQueueInstance | NetworkInstance:
     if not isinstance(doc, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
+    if kind not in ("single", "multi", "network"):
+        raise ValueError(f"unknown instance kind: {kind!r}")
+    unknown = set(doc) - (_SINGLE_FIELDS if kind == "single" else _NETWORK_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown fields for a {kind!r} instance: {sorted(unknown, key=str)}")
     if kind == "single":
+        if "n" in doc and _field(doc, "n", int) != 1:
+            raise ValueError(f"a 'single' instance has one queue (n = 1), got n = {doc['n']!r}")
         return SingleQueueInstance(
             k=_field(doc, "k", int),
             lam=_field(doc, "lambda", float),
             mu=_field(doc, "mu", float, 1),
         )
-    if kind not in ("multi", "network"):
-        raise ValueError(f"unknown instance kind: {kind!r}")
     n = _field(doc, "n", int)
     k = _field(doc, "k", int)
     lam = doc.get("lambda")
@@ -459,6 +468,8 @@ def instance_from_dict(doc: dict) -> SingleQueueInstance | NetworkInstance:
         if doc.get("transitions") is not None
         else NetworkInstance.exit_only_transitions(n, k)
     )
+    if kind == "multi" and any(p > 0 for row in transitions for p in row[:-1]):
+        raise ValueError("a 'multi' instance routes no jobs between queues; use kind 'network'")
     return NetworkInstance(
         n=n,
         k=k,

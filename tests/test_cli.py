@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import shutil
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -127,6 +128,55 @@ class TestMistypedInstanceFields:
         out = capsys.readouterr().out
         assert out.startswith(f"error: instance field {field!r} must be ")
         assert out.count("\n") == 1
+
+
+class TestInstanceFieldsOfKind:
+    """An instance file runs the law its kind declares, or exits 1: a field
+    its kind does not take is never dropped."""
+
+    @pytest.mark.parametrize("command", ["simulate", "slackness"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"kind": "single", "n": 3, "k": 2, "lambda": 0.3, "mu": [0.5, 0.6]},
+                "a 'single' instance has one queue (n = 1), got n = 3",
+            ),
+            (
+                {"kind": "single", "k": 2, "lambda": 0.3, "mu": [0.5, 0.6], "server_queue": [0, 0]},
+                "unknown fields for a 'single' instance: ['server_queue']",
+            ),
+            (
+                dict(_MULTI_DOC, kind="network", transition=[[0, 1, 0], [0, 0, 1]]),
+                "unknown fields for a 'network' instance: ['transition']",
+            ),
+            (dict(_MULTI_DOC, name="m"), "unknown fields for a 'multi' instance: ['name']"),
+            (
+                dict(_MULTI_DOC, transitions=[[0, 1, 0], [0, 0, 1]]),
+                "a 'multi' instance routes no jobs between queues; use kind 'network'",
+            ),
+        ],
+    )
+    def test_exit_one(self, tmp_path, capsys, command, doc, message):
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        argv = ["slackness", str(tmp_path / "bad.json")]
+        if command == "simulate":
+            argv = ["simulate", "-c", _config(tmp_path, instance="bad.json", policies=["round-robin"])]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "single", "n": 1, "k": 2, "lambda": 0.3, "mu": [0.5, 0.6]},
+            dict(_MULTI_DOC, transitions=[[0, 0, 1], [0, 0, 1]]),
+            dict(_MULTI_DOC, kind="network", mu=[0.6, 0.9], transitions=[[0, 1, 0], [0, 0, 1]]),
+        ],
+    )
+    def test_declared_fields_load(self, tmp_path, doc):
+        (tmp_path / "ok.json").write_text(json.dumps(doc))
+        assert main(["slackness", str(tmp_path / "ok.json")]) == 0
 
 
 class TestSimulate:
@@ -309,6 +359,54 @@ class TestBatchFold:
                 assert (a is None) == (b is None), name
                 assert a is None or np.array_equal(a, b), name
             assert (got.delta_mean is not None) == include_delta
+
+
+    def test_rows_fold_as_they_arrive(self, monkeypatch):
+        # Inline, each job's row is folded before the next job runs: when a
+        # job returns, only the row before it (still bound in fold_series's
+        # loop) may be alive besides its own.
+        monkeypatch.setenv("CLQ_WORKERS", "1")
+        job, refs, alive = cli._simulate_job, [], []
+
+        def tracked(args):
+            row = job(args)
+            refs.append([weakref.ref(v) for v in row if isinstance(v, np.ndarray)])
+            alive.append(sum(any(r() is not None for r in rs) for rs in refs))
+            return row
+
+        monkeypatch.setattr(cli, "_simulate_job", tracked)
+        policies = ["ucb", "oracle-best"]
+        cfg = ExperimentConfig(
+            instance="unused.json",
+            policies=policies,
+            horizon=300,
+            seeds=list(range(5)),
+            include_delta=True,
+            write_traces=False,
+        )
+        run_batch(cfg, [figure1_instance()], policies, False, 0.1)
+        assert len(alive) == 10 and max(alive) <= 2
+
+    def test_seed_order_moves_no_bit(self, tmp_path, monkeypatch, capsys):
+        # Each (policy, seed) of a lower-bound family has five members; they
+        # fold in family order, whatever order the config lists the seeds in.
+        monkeypatch.setenv("CLQ_WORKERS", "1")
+        spec = {"family": "lower-bound", "k": 4, "epsilon": 0.1}
+        policies = ["ucb", "round-robin", "oracle-best"]
+        got = []
+        for seeds in ([3, 0, 2, 1], [0, 1, 2, 3]):
+            cfg = ExperimentConfig(instance=spec, policies=policies, horizon=300, seeds=seeds, include_delta=True)
+            batch = run_batch(cfg, cli.build_family(spec), policies, False, 0.1)
+            config = _config(tmp_path, instance=spec, policies=policies, benchmark="oracle-best", seeds=seeds)
+            assert main(["clq", "-c", config]) == 0
+            got.append((batch, capsys.readouterr().out))
+        (shuffled, shuffled_out), (ordered, ordered_out) = got
+        assert shuffled_out == ordered_out
+        for policy in policies:
+            a, b = shuffled[policy], ordered[policy]
+            assert a.n_traces == b.n_traces == 20
+            for name in ("avg_queue_mean", "avg_queue_se", "sar_mean", "sar_se", "delta_mean"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (policy, name)
 
 
 class TestClqReport:
@@ -713,6 +811,25 @@ class TestFamilyFields:
         assert main([command, "-c", cfg]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"error: {message}") and out.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"family": "random-multi", "n": 2, "k": 3, "epsilon": 0.1, "sed": 7}, "sed"),
+            ({"family": "figure1", "k": 9}, "k"),
+            ({"family": "lower-bound", "k": 4, "epsilon": 0.1, "seed": 1}, "seed"),
+            (dict(_TANDEM, k=3), "k"),
+        ],
+    )
+    def test_field_the_family_does_not_take(self, tmp_path, capsys, spec, field):
+        assert main(["clq", "-c", _config(tmp_path, instance=spec, policies=["round-robin"])]) == 1
+        assert capsys.readouterr().out == f"error: family {spec['family']!r} takes no fields [{field!r}]\n"
+
+    def test_make_instance_flag_the_family_does_not_take(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert main(["make-instance", "figure1", "--out", str(out), "--k", "9"]) == 1
+        assert capsys.readouterr().out == "error: family 'figure1' takes no fields ['k']\n"
+        assert not out.exists()
 
     def test_make_instance_missing_field(self, tmp_path, capsys):
         out = tmp_path / "tandem.json"
