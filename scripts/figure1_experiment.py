@@ -1,8 +1,10 @@
 """Headline single-queue experiment: UCB against the best-fixed-server oracle.
 
-Writes the experiment config, per-seed traces, series CSVs, and a manifest
-under --out, then prints the cost-of-learning report. Defaults match the
-acceptance run (horizon 1e5, 50 seeds); pass smaller values for a quick look.
+Writes the experiment config and instance under --out, then runs
+`clqsim simulate` once: it writes the series CSVs (per-seed traces with
+--traces) and a manifest, and prints the cost-of-learning report after its
+"wrote" lines. Defaults match the acceptance run (horizon 1e5, 50 seeds);
+pass smaller values for a quick look.
 """
 import argparse
 import json
@@ -40,10 +42,7 @@ def run(argv=None) -> int:
     with open(config_path, "w") as fh:
         json.dump(config, fh, indent=2)
 
-    rc = cli_main(["simulate", "-c", config_path])
-    if rc:
-        return rc
-    return cli_main(["clq", "-c", config_path])
+    return cli_main(["simulate", "-c", config_path])
 
 
 if __name__ == "__main__":

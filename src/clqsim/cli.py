@@ -359,6 +359,7 @@ def cmd_simulate(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {mpath}")
+    _report(cfg, instances, series, eps)
     return 0
 
 
@@ -418,12 +419,9 @@ def _output_failures(cfg: ExperimentConfig, instance, policies, config_path: str
     return failures
 
 
-def cmd_clq(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
-    instances = resolve_instances(cfg.instance)
-    policies, eps = _run_policies(cfg, instances), _run_epsilon(cfg, instances)
-    with _pool(len(instances) * len(policies) * len(cfg.seeds)) as pool:
-        series = run_batch(cfg, instances, policies, False, eps, pool)
+def _report(cfg: ExperimentConfig, instances, series: dict, eps) -> None:
+    """Print the CLQ report of a batch's folded series: one line per
+    configured policy against the benchmark, then the bound table."""
     bench = series.get(cfg.benchmark) if cfg.benchmark else None
     if len(instances) > 1:
         print(f"family average over {len(instances)} members")
@@ -444,6 +442,15 @@ def cmd_clq(args) -> int:
             print(f"  {name} = {'n/a' if val is None else repr(val)}")
     else:
         print("bounds: skipped (no positive slackness available)")
+
+
+def cmd_clq(args) -> int:
+    cfg = ExperimentConfig.from_json(args.config)
+    instances = resolve_instances(cfg.instance)
+    policies, eps = _run_policies(cfg, instances), _run_epsilon(cfg, instances)
+    with _pool(len(instances) * len(policies) * len(cfg.seeds)) as pool:
+        series = run_batch(cfg, instances, policies, False, eps, pool)
+    _report(cfg, instances, series, eps)
     return 0
 
 

@@ -9,6 +9,7 @@ policies is automatic.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,21 +302,22 @@ def run_network(
     m_sigma = structure_constants(net).m_sigma
     exit_only = net.exit_only
 
-    # Arrival rows and transition destinations are inverse-CDF lookups of
-    # policy-independent uniforms, so they are drawn for every period up front.
+    # Arrival rows, service outcomes and transition destinations are lookups
+    # of policy-independent uniforms, so they are drawn for every period up
+    # front: outcomes[row][srv] is -1 where srv's service would fail, else the
+    # queue its job moves to (n: it exits).
     u_arr = RandomSource(seed, "arrival").uniforms(horizon)
-    shared = m_sigma <= 1
-    shape = (horizon,) if shared else (horizon, k)
-    u_srv = RandomSource(seed, "service").uniforms(*shape).tolist()
+    # One shared uniform per period, as run_single draws, when m_sigma <= 1.
+    ok = RandomSource(seed, "service").uniforms(horizon, 1 if m_sigma <= 1 else k) <= np.array(mu)
     support = np.array(net.arrivals.support, dtype=np.uint8)
     arr_idx = np.minimum(np.searchsorted(net.arrivals.cumulative, u_arr), len(support) - 1)
     arr_ones = [tuple(i for i, v in enumerate(r) if v) for r in support.tolist()]
-    dest = dest_rows = None
+    dest = n
     if not exit_only:
         u_tr = RandomSource(seed, "transition").uniforms(horizon, k)
         cum_tr = [np.cumsum(net.transitions[srv]) for srv in range(k)]
         dest = np.minimum([np.searchsorted(cum_tr[srv], u_tr[:, srv]) for srv in range(k)], n).T
-        dest_rows = dest.tolist()
+    outcomes = np.where(ok, dest, -1).tolist()
 
     # The loop decides itself, by row of the schedule table.  round-robin,
     # fixed and oracle-best run one server's singleton row when it exists and
@@ -324,12 +326,14 @@ def run_network(
     # feasible row (policies.feasible_rows) of largest summed per-server gain:
     # rate * Q(owner) less, for BackPressure, the sum over queues d in
     # ascending order of the transition rate to d times Q(d).  The oracles use
-    # true rates, so their choice depends on q alone and is memoised per run.
-    # The learners use the UCB rate min(1, s/c + sqrt(2 log t / c)), 1 while
-    # untried, and the LCB max(0, r/c - sqrt(2 log t / c)), one sqrt per
-    # server.  Shortcuts, all exact: a lone feasible row needs no gains; a
-    # server with an empty queue is in no feasible row; a zero rate adds +0.0
-    # to a penalty that is never -0.0.
+    # true rates, the learners the UCB rate min(1, s/c + sqrt(2 log t / c)),
+    # 1 while untried, and the LCB max(0, r/c - sqrt(2 log t / c)), one sqrt
+    # per server.  A per-run memo on the exact q holds the chosen row where it
+    # depends on q alone (an oracle's, or a lone feasible row's), else the
+    # feasible rows and the (server, owner) pairs in them, shared between the
+    # q that clip alike.  Shortcuts, all exact: gains are summed only for
+    # servers in a feasible row; a penalty reads only the destinations whose
+    # tally is non-zero (nz, ascending), as a zero tally adds nothing.
     idle = table.row.get((0,) * k)
     if idle is None:
         raise PolicyError("schedule set lacks the all-zero schedule")
@@ -344,44 +348,53 @@ def run_network(
     ]
     state = PolicyState(k, n)
     counts, succ, trans = state.counts, state.succ, state.trans
-    servers, demand, memo, cap = table.servers, table.demand, table.memo, table.cap
-    gain, chosen, rr = [0.0] * k, {}, 0
+    nz = [[d for d, x in enumerate(row) if x] for row in trans]
+    servers, demand = table.servers, table.demand
+    gain, memo, pairs, rr = [0.0] * k, {}, {}, 0
     sqrt, log = math.sqrt, math.log
-    q = [0] * n
-    q_rows, sched_rows, served = [], [], []
+    q, q_flat, sched_rows = [0] * n, [], []
 
-    for row, ai in enumerate(arr_idx.tolist()):
-        t = row + 1
-        q_rows.append(q[:])
+    for t, ai, out in zip(range(1, horizon + 1), arr_idx.tolist(), outcomes):
+        q_flat += q
         if j is not None:
             if rotate and any(q):
                 j, rr = rr % k, rr + 1
             r = lone[j] if q[owner[j]] else idle
-        elif not oracle or (r := chosen.get(key := tuple(q))) is None:
-            fits = memo.get(tuple(map(min, q, cap))) or feasible_rows(table, q)
-            if len(fits) == 1:
-                r = fits[0][0]
-            else:
-                two_log = 0.0 if oracle else 2.0 * log(t)
-                for srv, o in enumerate(owner):
-                    if not q[o]:
-                        continue
-                    pen = 0.0
-                    if oracle:
-                        g = mu[srv] * q[o]
+        else:
+            if (r := memo.get(key := tuple(q))) is None:
+                fits = feasible_rows(table, q)
+                if (r := pairs.get(id(fits))) is None:
+                    act = sorted({(srv, owner[srv]) for _, sel in fits for srv in sel})
+                    r = pairs[id(fits)] = fits[0][0] if len(fits) == 1 else (fits, act)
+                memo[key] = r
+            if r.__class__ is tuple:
+                fits, act = r
+                if oracle:
+                    for srv, o in act:
+                        pen = 0.0
                         for d, x in low_true[srv]:
                             pen += x * q[d]
-                    elif c := counts[srv]:
-                        root = sqrt(two_log / c)
-                        g = succ[srv] / c + root
-                        g = (g if g < 1.0 else 1.0) * q[o]
-                        if bp:
-                            for d, x in enumerate(trans[srv]):
-                                if x and (lcb := x / c - root) > 0.0:
+                        gain[srv] = mu[srv] * q[o] - pen
+                elif bp:
+                    two_log = 2.0 * log(t)
+                    for srv, o in act:
+                        if c := counts[srv]:
+                            root, pen, row = sqrt(two_log / c), 0.0, trans[srv]
+                            for d in nz[srv]:
+                                if (lcb := row[d] / c - root) > 0.0:
                                     pen += lcb * q[d]
-                    else:
-                        g = 1.0 * q[o]
-                    gain[srv] = g - pen
+                            g = succ[srv] / c + root
+                            gain[srv] = (g if g < 1.0 else 1.0) * q[o] - pen
+                        else:
+                            gain[srv] = 1.0 * q[o]
+                else:
+                    two_log = 2.0 * log(t)
+                    for srv, o in act:
+                        if c := counts[srv]:
+                            g = succ[srv] / c + sqrt(two_log / c)
+                            gain[srv] = (g if g < 1.0 else 1.0) * q[o]
+                        else:
+                            gain[srv] = 1.0 * q[o]
                 best = -math.inf
                 for ri, sel in fits:
                     w = 0.0
@@ -389,8 +402,8 @@ def run_network(
                         w += gain[srv]
                     if w > best:
                         best, r = w, ri
-            if oracle:
-                chosen[key] = r
+                if oracle:
+                    memo[key] = r
         for qi, need in demand[r]:
             if q[qi] < need:
                 raise PolicyError(
@@ -399,29 +412,30 @@ def run_network(
         sched_rows.append(r)
         for srv in servers[r]:
             counts[srv] += 1
-            if (u_srv[row] if shared else u_srv[row][srv]) <= mu[srv]:
-                served.append(row * k + srv)
+            if (d := out[srv]) >= 0:
                 succ[srv] += 1
                 q[owner[srv]] -= 1
-                if dest_rows is not None and (d := dest_rows[row][srv]) < n:
+                if d < n:
                     q[d] += 1
                     trans[srv][d] += 1
+                    if trans[srv][d] == 1:
+                        insort(nz[srv], d)
         for qi in arr_ones[ai]:
             q[qi] += 1
-    q_rows.append(q)
+    q_flat += q
 
-    services = np.zeros((horizon, k), dtype=np.uint8)
-    services.reshape(-1)[served] = 1
+    schedule = np.array(table.schedules, dtype=np.uint8)[sched_rows]
+    services = schedule & ok
     return Trace(
         instance=net,
         policy=policy,
         seed=seed,
         horizon=horizon,
-        q=np.array(q_rows, dtype=np.int64),
-        schedule=np.array(table.schedules, dtype=np.uint8)[sched_rows],
+        q=np.array(q_flat, dtype=np.int64).reshape(horizon + 1, n),
+        schedule=schedule,
         arrivals=support[arr_idx],
         services=services,
-        targets=None if dest is None else np.where(services == 1, dest, -1).astype(np.int16),
+        targets=None if exit_only else np.where(services == 1, dest, -1).astype(np.int16),
     )
 
 

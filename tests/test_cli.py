@@ -428,6 +428,20 @@ class TestClqReport:
         assert "ucb_clq_upper" in out
         assert "36036.74591495101" in out
 
+    @pytest.mark.parametrize("instance", ["fig1.json", "tandem.json"])
+    def test_simulate_prints_the_clq_report(self, tmp_path, fig1_file, capsys, instance):
+        # simulate prints its "wrote" lines, then exactly the lines clq prints.
+        save_instance(tandem_instance(3, (0.8, 0.7, 0.6), 0.4), str(tmp_path / "tandem.json"))
+        policies, bench = (["ucb"], "oracle-best") if instance == "fig1.json" else (["mw-ucb", "bp-ucb"], "oracle-bp")
+        cfg = _config(tmp_path, instance=instance, policies=policies, benchmark=bench, write_traces=False)
+        assert main(["clq", "-c", cfg]) == 0
+        report = capsys.readouterr().out
+        assert main(["simulate", "-c", cfg]) == 0
+        names = [f"series_{p}.csv" for p in [*policies, bench]] + ["manifest.json"]
+        wrote = "".join(f"wrote {tmp_path / 'out' / name}\n" for name in names)
+        assert capsys.readouterr().out == wrote + report
+        assert "CLQ = " in report and "bounds at epsilon" in report
+
 
     def test_network_slackness_solved_once(self, tmp_path, capsys, monkeypatch):
         from clqsim import cli

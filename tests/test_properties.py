@@ -57,13 +57,13 @@ def single_instances(max_k=4):
     )
 
 
-def generated_networks():
+def generated_networks(kinds=("multi", "network")):
     return st.builds(
         lambda seed, kind, n, k: random_with_slackness(
             n=n, k=max(k, n), epsilon=0.1, seed=seed, kind=kind
         ),
         st.integers(0, 10_000),
-        st.sampled_from(["multi", "network"]),
+        st.sampled_from(kinds),
         st.integers(1, 3),
         st.integers(1, 4),
     )
@@ -327,10 +327,10 @@ class TestOraclePurity:
             assert tuple(tr.schedule[t]) == want
 
 
-def _tallies(k):
-    """(count, successes) per server with successes <= count, untried servers
-    and repeated pairs, so exact index ties occur."""
-    pair = st.integers(0, 12).flatmap(lambda c: st.tuples(st.just(c), st.integers(0, c)))
+def _tallies(k, top=12):
+    """(count, successes) per server with successes <= count <= top, untried
+    servers and repeated pairs, so exact index ties occur."""
+    pair = st.integers(0, top).flatmap(lambda c: st.tuples(st.just(c), st.integers(0, c)))
     return st.lists(st.one_of(pair, st.just((0, 0)), st.just((4, 2))), min_size=k, max_size=k)
 
 
@@ -531,11 +531,21 @@ class TestBoundSelectors:
         assert tr.schedule[1].argmax() == want
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from(_NETWORKS), st.integers(1, 5000), st.data())
+    @given(
+        st.one_of(st.sampled_from(_NETWORKS), generated_networks(kinds=("network",))),
+        st.integers(1, 5000),
+        st.data(),
+    )
     def test_bp_ucb_equals_reference(self, inst, t, data):
-        """From any tallies, with period 1 taking log(t)."""
-        tallies = data.draw(_tallies(inst.k))
-        trans = [[data.draw(st.integers(0, s))] + [0] * (inst.n - 1) for _, s in tallies]
+        """From any tallies, with transition tallies in every destination
+        column, and period 1 taking log(t).  Counts up to 3000 keep the
+        confidence radius small, so the starting tallies' LCBs are positive
+        and their penalties move decisions."""
+        tallies = data.draw(st.one_of(_tallies(inst.k), _tallies(inst.k, top=3000)))
+        trans = [
+            data.draw(st.lists(st.integers(0, s), min_size=inst.n, max_size=inst.n))
+            for _, s in tallies
+        ]
         horizon = data.draw(st.integers(1, 40))
         _checked_network_run(inst, "bp-ucb", horizon, tallies=tallies, trans=trans, log=_shifted_log(t - 1))
 

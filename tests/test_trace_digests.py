@@ -13,6 +13,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from clqsim.engine import run
 from clqsim.instances import figure1_instance, random_with_slackness, tandem_instance
@@ -64,6 +65,18 @@ def test_trace_digests_unchanged():
     assert sorted(got) == sorted(want)
     changed = [key for key in want if got[key] != want[key]]
     assert not changed, f"{len(changed)} traces changed, first: {changed[:5]}"
+
+
+@pytest.mark.parametrize("label", ["tandem-3", "multi-3-6", "network-2-4"])
+def test_shared_instance_runs_equal_fresh_runs(label):
+    """All policies back to back on one instance object, which shares its
+    cached schedule_table and table.memo between runs: no decision may leak
+    from one run into the next, so each trace equals a fresh instance's."""
+    shared = _instances()[label]
+    for policy in POLICIES:
+        for seed in (0, 1):
+            got = trace_digest(run(shared, policy, HORIZON, seed))
+            assert got == trace_digest(run(_instances()[label], policy, HORIZON, seed)), (policy, seed)
 
 
 if __name__ == "__main__":
