@@ -39,7 +39,7 @@ from .engine import (
     run,
     run_network,
     run_single,
-    trace_csv_lines,
+    trace_csv_text,
     trace_to_csv,
 )
 from .metrics import (

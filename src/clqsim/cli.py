@@ -538,10 +538,13 @@ def _verify_job(args):
         if not c.passed:
             failures.append((c.name, policy, seed, f"margin {c.margin!r} at period {c.period}"))
     if trace_path is not None:  # the config writes traces
-        if os.path.exists(trace_path):
+        name = os.path.basename(trace_path)
+        try:
             err = replay_csv_error(trace_path, trace)
-        else:
-            err = f"missing trace file {os.path.basename(trace_path)}"
+        except FileNotFoundError:
+            err = f"missing trace file {name}"
+        except (OSError, UnicodeDecodeError) as exc:
+            err = f"unreadable trace file {name}: {exc}"
         if err:
             failures.append(("trace-file-replay", policy, seed, err))
     return failures, len(report.checks) + 1

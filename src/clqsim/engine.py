@@ -487,35 +487,46 @@ def _masks(events: np.ndarray) -> list[int]:
     return masks
 
 
-def trace_csv_lines(trace: Trace) -> list[str]:
-    """The trace CSV format: a header, then per period t the start-of-period
-    queue lengths q_i, the schedule/arrival/service bitmasks (_masks) and
-    "srv>dest;..." per successful service (empty on exit-only systems)."""
+def trace_csv_text(trace: Trace) -> str:
+    """The trace CSV format, with LF line ends: a header, then per period t
+    the start-of-period queue lengths q_i, the schedule/arrival/service
+    bitmasks (_masks) and "srv>dest;..." per successful service (empty on
+    exit-only systems), all rows in one %-format pass."""
     h, n = trace.horizon, trace.q.shape[1]
     header = ["t", *(f"q_{i}" for i in range(n)), "schedule", "arrivals", "services", "transitions"]
-    trans = [""] * h
+    k = len(header)
+    cells = [""] * (h * k)  # row by row; a transitions cell stays "" unless it is set
+    cells[0::k] = range(1, h + 1)
+    for i, col in enumerate(trace.q[:h].T.tolist(), 1):
+        cells[i::k] = col
+    for i, events in enumerate((trace.schedule, trace.arrivals, trace.services), n + 1):
+        cells[i::k] = _masks(events)
     if trace.targets is not None:
         rows, srvs = np.nonzero(trace.services)
         for r, srv, dest in zip(rows.tolist(), srvs.tolist(), trace.targets[rows, srvs].tolist()):
-            trans[r] += f";{srv}>{dest}" if trans[r] else f"{srv}>{dest}"
-    masks = [_masks(e) for e in (trace.schedule, trace.arrivals, trace.services)]
-    cols = [range(1, h + 1), *trace.q[:h].T.tolist(), *masks, trans]
-    return [",".join(header)] + [",".join(map(str, row)) for row in zip(*cols)]
+            j = r * k + k - 1
+            cells[j] += f";{srv}>{dest}" if cells[j] else f"{srv}>{dest}"
+    cells = tuple(cells)  # frees the list before the format allocates
+    return (",".join(header) + "\n" + ("%d," * (k - 1) + "%s\n") * h) % cells
 
 
 def trace_to_csv(trace: Trace, path: str) -> None:
-    """Write trace_csv_lines(trace) with CRLF line ends."""
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(trace_csv_lines(trace)) + "\r\n")
+    """Write trace_csv_text(trace) with CRLF line ends."""
+    with open(path, "w", newline="\r\n") as fh:
+        fh.write(trace_csv_text(trace))
 
 
 def replay_csv_error(path: str, trace: Trace) -> str | None:
-    """Compare a trace CSV, read with universal newlines, line by line with
-    trace_csv_lines(trace); None if equal.  replay_error vouches that the
-    re-run trace replays, so a file equal to its rendering replays too."""
-    want = trace_csv_lines(trace)
+    """Compare a trace CSV, read with universal newlines, with
+    trace_csv_text(trace), diagnosing a mismatch line by line; None if the
+    lines are equal.  replay_error vouches that the re-run trace replays, so
+    a file equal to its rendering replays too."""
+    text = trace_csv_text(trace)
     with open(path) as fh:
-        got = fh.read().splitlines()
+        got = fh.read()
+    if got == text:
+        return None
+    got, want = got.splitlines(), text.splitlines()
     if not got or got[0] != want[0]:
         return "missing header"
     if len(got) < 2:

@@ -7,11 +7,18 @@ functions here compute one period at a time in the plainest form, from a
 PolicyState and the period t. A run's tallies are its trace's own column
 sums (tallies_of). The weight arithmetic itself is the package's
 metrics._weight, so the bitwise bindings compare like with like.
+
+The trace-file check is here too: the per-row CSV rendering and the
+line-by-line comparison that engine.replay_csv_error's one-string compare
+must agree with, message for message.
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from clqsim.engine import _masks
 from clqsim.metrics import _weight
 from clqsim.model import as_network
 from clqsim.policies import PolicyState
@@ -138,3 +145,39 @@ def delta_loss(q, chosen, instance, networked: bool) -> float:
     return _best_weight(net, q, q_scaled, networked) - schedule_weight(
         q_scaled, chosen, net, networked
     )
+
+
+def trace_csv_lines(trace) -> list[str]:
+    """The trace CSV, one string per line, each row joined on its own."""
+    h, n = trace.horizon, trace.q.shape[1]
+    header = ["t", *(f"q_{i}" for i in range(n)), "schedule", "arrivals", "services", "transitions"]
+    trans = [""] * h
+    if trace.targets is not None:
+        rows, srvs = np.nonzero(trace.services)
+        for r, srv, dest in zip(rows.tolist(), srvs.tolist(), trace.targets[rows, srvs].tolist()):
+            trans[r] += f";{srv}>{dest}" if trans[r] else f"{srv}>{dest}"
+    masks = [_masks(e) for e in (trace.schedule, trace.arrivals, trace.services)]
+    cols = [range(1, h + 1), *trace.q[:h].T.tolist(), *masks, trans]
+    return [",".join(header)] + [",".join(map(str, row)) for row in zip(*cols)]
+
+
+def replay_csv_error(path: str, trace) -> str | None:
+    """Compare a trace CSV, read with universal newlines, line by line with
+    trace_csv_lines(trace); None if equal."""
+    want = trace_csv_lines(trace)
+    with open(path) as fh:
+        got = fh.read().splitlines()
+    if not got or got[0] != want[0]:
+        return "missing header"
+    if len(got) < 2:
+        return "no data rows"
+    if len(got) != len(want):
+        return f"{len(got) - 1} data rows for horizon {trace.horizon}"
+    for line, (a, b) in enumerate(zip(got, want), start=1):
+        if a != b:
+            cells, ref = a.split(","), b.split(",")
+            if len(cells) != len(ref):
+                return f"line {line}: malformed row"
+            name, x, y = next(d for d in zip(want[0].split(","), cells, ref) if d[1] != d[2])
+            return f"line {line}: {name} {x!r} differs from the re-run ({y!r})"
+    return None

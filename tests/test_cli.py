@@ -520,6 +520,37 @@ class TestVerify:
             "FAIL check=trace-file-replay policy=ucb seed=1: missing trace file trace_ucb_1.csv"
         ]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "spoil, detail",
+        [
+            (
+                lambda path: path.write_bytes(b"\xff\xfe\x00garbage"),
+                lambda path: "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+            (
+                lambda path: (path.unlink(), path.mkdir()),
+                lambda path: f"[Errno 21] Is a directory: {str(path)!r}",
+            ),
+        ],
+        ids=["not-utf8", "directory"],
+    )
+    def test_unreadable_trace_file_fails(
+        self, tmp_path, fig1_file, capsys, monkeypatch, workers, spoil, detail
+    ):
+        # One check failure naming the file; the other jobs' checks still run.
+        cfg = _config(tmp_path)
+        assert main(["simulate", "-c", cfg]) == 0
+        trace = tmp_path / "out" / "trace_ucb_1.csv"
+        spoil(trace)
+        capsys.readouterr()
+        monkeypatch.setenv("CLQ_WORKERS", workers)
+        assert main(["verify", "-c", cfg]) == 3
+        assert self._fails(capsys) == [
+            "FAIL check=trace-file-replay policy=ucb seed=1: "
+            f"unreadable trace file trace_ucb_1.csv: {detail(trace)}"
+        ]
+
     def test_malformed_transitions_cell_fails(self, tmp_path, capsys):
         save_instance(tandem_instance(2, (0.8, 0.6), 0.5), str(tmp_path / "tandem.json"))
         cfg = _config(tmp_path, instance="tandem.json", policies=["bp-ucb"])

@@ -19,7 +19,7 @@ from clqsim.engine import (
     run_network,
     run_single,
     seed_block_uniforms,
-    trace_csv_lines,
+    trace_csv_text,
     trace_to_csv,
 )
 from clqsim.instances import figure1_instance, random_with_slackness, tandem_instance
@@ -33,6 +33,7 @@ from clqsim.model import (
 )
 from clqsim.policies import PolicyError, PolicyState
 from reference import mu_hat_of
+from reference import replay_csv_error as reference_replay_csv_error
 
 
 class TestRandomSource:
@@ -563,6 +564,48 @@ class TestTraceCsv:
         path.write_text("\n".join(path.read_text().splitlines()) + "\n")
         assert replay_csv_error(str(path), tr) is None
 
+    @pytest.mark.parametrize(
+        "end, final", [("\r\n", True), ("\r\n", False), ("\n", False)],
+        ids=["crlf", "crlf-no-final-end", "lf-no-final-end"],
+    )
+    def test_other_line_ends_accepted(self, tmp_path, end, final):
+        tr = run_network(tandem_instance(2, (0.8, 0.6), 0.5), "bp-ucb", 50, 0)
+        path = tmp_path / "t.csv"
+        trace_to_csv(tr, str(path))
+        lines = path.read_text().splitlines()
+        path.write_bytes((end.join(lines) + (end if final else "")).encode())
+        assert replay_csv_error(str(path), tr) is None
+        assert reference_replay_csv_error(str(path), tr) is None
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda lines: [], "missing header"),
+            (lambda lines: [lines[0].replace("q_0", "queue_0")] + lines[1:], "missing header"),
+            (lambda lines: lines[:1], "no data rows"),
+            (lambda lines: lines[:-1], "99 data rows for horizon 100"),
+            (lambda lines: lines + lines[-1:], "101 data rows for horizon 100"),
+            (lambda lines: lines[:40] + [lines[40] + ",x"] + lines[41:], "line 41: malformed row"),
+            (
+                lambda lines: lines[:1] + [lines[1].replace(",0,", ",00,", 1)] + lines[2:],
+                "line 2: q_0 '00' differs from the re-run ('0')",
+            ),
+        ],
+        ids=[
+            "empty", "renamed-header", "header-only", "row-short", "row-extra", "extra-cell",
+            "zero-padded-q",
+        ],
+    )
+    def test_mismatch_message_equals_line_loop(self, tmp_path, edit, detail, end):
+        tr = run_single(figure1_instance(), "ucb", 100, 0)
+        path = tmp_path / "t.csv"
+        trace_to_csv(tr, str(path))
+        lines = edit(path.read_text().splitlines())
+        path.write_bytes("".join(line + end for line in lines).encode())
+        assert replay_csv_error(str(path), tr) == detail
+        assert reference_replay_csv_error(str(path), tr) == detail
+
 
 def _reference_csv(trace) -> bytes:
     """The trace CSV as the per-row csv.writer loop wrote it."""
@@ -610,7 +653,7 @@ class TestTraceCsvBytes:
                     tr = run(inst, policy, horizon, seed)
                     trace_to_csv(tr, str(path))
                     assert path.read_bytes() == _reference_csv(tr), (policy, seed, horizon)
-                    seen.update(line.rsplit(",", 1)[1] for line in trace_csv_lines(tr)[1:])
+                    seen.update(line.rsplit(",", 1)[1] for line in trace_csv_text(tr).splitlines()[1:])
         if not isinstance(inst, SingleQueueInstance) and not inst.exit_only:
             assert "" in seen and any(";" in cell for cell in seen)
 
@@ -621,7 +664,7 @@ class TestTraceCsvBytes:
         path = tmp_path / "t.csv"
         trace_to_csv(tr, str(path))
         assert path.read_bytes() == _reference_csv(tr)
-        assert max(int(line.split(",")[2]) for line in trace_csv_lines(tr)[1:]) >= 2**63
+        assert max(int(line.split(",")[2]) for line in trace_csv_text(tr).splitlines()[1:]) >= 2**63
 
 
 def _masks_row_loop(events) -> list[int]:

@@ -1,5 +1,8 @@
 """Randomized invariants: anything here must hold on every sample path."""
 import math
+import os
+import string
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from clqsim import engine
 from clqsim.engine import replay_error, run, run_network, run_single
-from clqsim.instances import random_with_slackness, tandem_instance
+from clqsim.instances import figure1_instance, random_with_slackness, tandem_instance
 from clqsim.metrics import delta_series, sar_multi, sar_single
 from clqsim.model import (
     ArrivalModel,
@@ -29,6 +32,7 @@ from clqsim.policies import (
     feasible_rows,
     feasible_schedules,
 )
+import reference
 from reference import (
     backpressure_select,
     delta_loss,
@@ -107,6 +111,34 @@ class TestSlacknessAgreement:
         before = traffic_slackness(single_to_network(inst)).epsilon
         after = traffic_slackness(single_to_network(faster)).epsilon
         assert after >= before - 1e-9
+
+
+class TestTraceCsvReplay:
+    """engine.replay_csv_error's one-string compare returns the message of
+    the line-by-line reference, None included, on a file with one byte
+    changed: figure 1 and generated routing networks, CRLF and LF files."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.just(figure1_instance()), generated_networks(kinds=("network",))),
+        st.sampled_from([v if v != "fixed" else "fixed:0" for v in VARIANTS]),
+        st.integers(1, 40),
+        st.integers(0, 50),
+        st.booleans(),
+        st.data(),
+    )
+    def test_edited_byte_gives_reference_message(self, inst, policy, horizon, seed, lf, data):
+        tr = run(inst, policy, horizon, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            engine.trace_to_csv(tr, path)
+            with open(path, "rb") as fh:
+                raw = bytearray(fh.read().replace(b"\r\n", b"\n") if lf else fh.read())
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            raw[at] = data.draw(st.sampled_from(string.printable.encode()), label="byte")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            assert engine.replay_csv_error(path, tr) == reference.replay_csv_error(path, tr)
 
 
 class TestEngineInvariants:
