@@ -226,7 +226,7 @@ def resolve_instances(source: str | dict):
 def _workers(n_jobs: int) -> int:
     """Pool size: CLQ_WORKERS (an integer >= 1) if set, at most the usable CPUs and n_jobs."""
     cap = os.environ.get("CLQ_WORKERS")
-    limit = len(os.sched_getaffinity(0))
+    limit = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cap:
         if not (cap.isdecimal() and int(cap) >= 1):
             raise ConfigError(f"CLQ_WORKERS must be an integer >= 1, got {cap!r}")
@@ -462,7 +462,7 @@ def cmd_make_instance(args) -> int:
             spec[key] = val
     if args.mu is not None:
         spec["mu"] = [float(v) for v in args.mu.split(",")]
-    members = build_family(spec)
+    members = resolve_instances(spec)  # each checked before any file is written
     if len(members) == 1:
         save_instance(members[0], args.out)
         print(f"wrote {args.out}")

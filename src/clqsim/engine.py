@@ -299,7 +299,7 @@ def run_network(
     mu = list(net.mu)
     owner = list(net.server_queue)
     table = net.schedule_table
-    m_sigma = structure_constants(net).m_sigma
+    sc = structure_constants(net)
     exit_only = net.exit_only
 
     # Arrival rows, service outcomes and transition destinations are lookups
@@ -308,7 +308,7 @@ def run_network(
     # queue its job moves to (n: it exits).
     u_arr = RandomSource(seed, "arrival").uniforms(horizon)
     # One shared uniform per period, as run_single draws, when m_sigma <= 1.
-    ok = RandomSource(seed, "service").uniforms(horizon, 1 if m_sigma <= 1 else k) <= np.array(mu)
+    ok = RandomSource(seed, "service").uniforms(horizon, 1 if sc.m_sigma <= 1 else k) <= np.array(mu)
     support = np.array(net.arrivals.support, dtype=np.uint8)
     arr_idx = np.minimum(np.searchsorted(net.arrivals.cumulative, u_arr), len(support) - 1)
     arr_ones = [tuple(i for i, v in enumerate(r) if v) for r in support.tolist()]
@@ -329,11 +329,18 @@ def run_network(
     # true rates, the learners the UCB rate min(1, s/c + sqrt(2 log t / c)),
     # 1 while untried, and the LCB max(0, r/c - sqrt(2 log t / c)), one sqrt
     # per server.  A per-run memo on the exact q holds the chosen row where it
-    # depends on q alone (an oracle's, or a lone feasible row's), else the
-    # feasible rows and the (server, owner) pairs in them, shared between the
-    # q that clip alike.  Shortcuts, all exact: gains are summed only for
-    # servers in a feasible row; a penalty reads only the destinations whose
-    # tally is non-zero (nz, ascending), as a zero tally adds nothing.
+    # depends on q alone (an oracle's, or a lone candidate row's), else the
+    # candidate rows and the (server, owner) pairs in them, shared between the
+    # q that clip alike.  Candidates are the feasible rows; under prune (ucb,
+    # mw-ucb) only the maximal ones, no proper subset of another.  From period
+    # 2 on (q(1) = 0) each of their gains is at least sqrt(2 log 2 / (c0 + H)),
+    # c0 the largest starting count, so a proper superset outweighs a row even
+    # in floats: a sum of m_sigma gains, each at most m_arr * H, errs by at
+    # most gamma_(m_sigma - 1) * m_sigma * m_arr * H, and prune's guard keeps
+    # two such errors below that least gain.  So the first heaviest row is
+    # maximal.  Other exact shortcuts: gains are summed only for servers in a
+    # candidate row; a penalty reads only the destinations whose tally is
+    # non-zero (nz, ascending), as a zero tally adds nothing.
     idle = table.row.get((0,) * k)
     if idle is None:
         raise PolicyError("schedule set lacks the all-zero schedule")
@@ -352,6 +359,7 @@ def run_network(
     servers, demand = table.servers, table.demand
     gain, memo, pairs, rr = [0.0] * k, {}, {}, 0
     sqrt, log = math.sqrt, math.log
+    prune = v in ("ucb", "mw-ucb") and sc.m_sigma**2 * sc.m_arr * horizon * sqrt(max(counts) + horizon) < 2**50
     q, q_flat, sched_rows = [0] * n, [], []
 
     for t, ai, out in zip(range(1, horizon + 1), arr_idx.tolist(), outcomes):
@@ -364,8 +372,11 @@ def run_network(
             if (r := memo.get(key := tuple(q))) is None:
                 fits = feasible_rows(table, q)
                 if (r := pairs.get(id(fits))) is None:
-                    act = sorted({(srv, owner[srv]) for _, sel in fits for srv in sel})
-                    r = pairs[id(fits)] = fits[0][0] if len(fits) == 1 else (fits, act)
+                    masks = [sum(1 << s for s in sel) for _, sel in fits] if prune else []
+                    # Under prune, the rows no proper subset (a & b == a != b) of another; else fits.
+                    top = [f for f, a in zip(fits, masks) if not any(a & b == a != b for b in masks)] or fits
+                    act = sorted({(srv, owner[srv]) for _, sel in top for srv in sel})
+                    r = pairs[id(fits)] = top[0][0] if len(top) == 1 else (top, act)
                 memo[key] = r
             if r.__class__ is tuple:
                 fits, act = r

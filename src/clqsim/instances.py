@@ -94,6 +94,8 @@ def random_with_slackness(
         raise ParameterError(f"unknown kind {kind!r}")
     if kind == "single" and n != 1:
         raise ParameterError("single-queue instances have n = 1")
+    if n < 1:
+        raise ParameterError(f"need n >= 1 queues, got {n}")
     if k < n:
         # Every queue needs at least one server or its capacity is zero
         # and no positive slackness is reachable.

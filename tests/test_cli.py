@@ -799,6 +799,22 @@ class TestMakeInstance:
         assert capsys.readouterr().out == "error: seed must be non-negative, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tandem", "--n", "2", "--mu", "0.5,nan", "--lambda0", "0.4"], "invalid instance: mu[1]=nan outside [0,1]"),
+            (["tandem", "--n", "2", "--mu", "0.5,1.5", "--lambda0", "0.4"], "invalid instance: mu[1]=1.5 outside [0,1]"),
+            (["random-multi", "--k", "3", "--epsilon", "0.1", "--n", "0"], "need n >= 1 queues, got 0"),
+        ],
+    )
+    def test_invalid_instance_not_written(self, tmp_path, capsys, argv, message):
+        """Every member is checked as simulate, clq and verify check it,
+        before any file is written."""
+        out = tmp_path / "bad.json"
+        assert main(["make-instance", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert not out.exists()
+
 
 _NET = {"family": "random-network", "n": 2, "k": 3, "epsilon": 0.1, "seed": 7}
 _TANDEM = {"family": "tandem", "n": 2, "mu": [0.8, 0.6], "lambda0": 0.5}
@@ -927,6 +943,15 @@ class TestWorkerCount:
     def test_capped_at_job_count(self, tmp_path, fig1_file, monkeypatch, pool):
         monkeypatch.setenv("CLQ_WORKERS", "1000")
         cfg = _config(tmp_path, horizon=20, seeds=[0, 1], write_traces=False)
+        assert main(["clq", "-c", cfg]) == 0
+        assert pool == [2]
+
+    def test_without_sched_getaffinity(self, tmp_path, fig1_file, monkeypatch, pool):
+        """Where os lacks sched_getaffinity (as on macOS), the CPU count caps the pool."""
+        monkeypatch.delattr("clqsim.cli.os.sched_getaffinity")
+        monkeypatch.setattr("clqsim.cli.os.cpu_count", lambda: 2)
+        monkeypatch.delenv("CLQ_WORKERS", raising=False)
+        cfg = _config(tmp_path, horizon=20, seeds=[0, 1, 2], write_traces=False)
         assert main(["clq", "-c", cfg]) == 0
         assert pool == [2]
 

@@ -386,6 +386,32 @@ class TestRunNetwork:
             run_network(inst, policy, 5, 0)
 
 
+class TestMaximalRows:
+    """ucb and mw-ucb weigh only the maximal feasible rows, within the float guard."""
+
+    def _sqrt_calls(self, monkeypatch, counts=None):
+        calls, sqrt = [], math.sqrt
+        monkeypatch.setattr(math, "sqrt", lambda x: calls.append(x) or sqrt(x))
+        if counts is not None:
+            state = PolicyState(3, 3, counts=list(counts), succ=[c // 2 for c in counts])
+            monkeypatch.setattr(engine, "PolicyState", lambda k, n: state)
+        tr = run_network(tandem_instance(3, (0.8, 0.7, 0.6), 0.4), "mw-ucb", 2500, 0)
+        assert tr.schedule.any()
+        return len(calls)
+
+    def test_lone_maximal_row_needs_no_gains(self, monkeypatch):
+        """Every subset of tandem-3's servers is a schedule, so the servers of
+        the non-empty queues form the one maximal feasible row: mw-ucb runs it
+        on q alone, with one sqrt per run (the float guard) where weighing
+        rows takes one per tried server in every busy period."""
+        assert self._sqrt_calls(monkeypatch) <= 1
+
+    def test_rows_weighed_past_the_float_guard(self, monkeypatch):
+        """Starting counts of 10**25 fail the guard: every busy period weighs
+        its rows again."""
+        assert self._sqrt_calls(monkeypatch, [10**25] * 3) > 2500
+
+
 class TestRunDispatcher:
     def test_dispatch_by_type(self):
         single = run(figure1_instance(), "ucb", 50, 0)

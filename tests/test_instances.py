@@ -125,3 +125,6 @@ class TestRandomWithSlackness:
             random_with_slackness(n=2, k=2, epsilon=0.1, seed=0, kind="mesh")
         with pytest.raises(ParameterError):
             random_with_slackness(n=3, k=2, epsilon=0.1, seed=0, kind="single")
+        for kind in ("multi", "network"):
+            with pytest.raises(ParameterError, match="n >= 1"):
+                random_with_slackness(n=0, k=3, epsilon=0.1, seed=0, kind=kind)

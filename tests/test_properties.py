@@ -627,6 +627,16 @@ def _checked_network_run(inst, policy, horizon, seed=0, tallies=(), trans=(), lo
 
 
 _TANDEM = tandem_instance(3, (0.8, 0.7, 0.6), 0.4)
+# Instances where some active servers share a queue.  On the first, the
+# servers sharing queue 1 tie in most periods with several maximal rows, so
+# the first stored wins; on the second and third, the gains mostly decide.
+_SHARED_QUEUE = [
+    random_with_slackness(2, 4, 0.1, 15, "multi"),
+    random_with_slackness(2, 5, 0.1, 21, "multi"),
+    random_with_slackness(2, 3, 0.1, 17, "multi"),
+    random_with_slackness(3, 6, 0.1, 7, "multi"),
+    single_to_network(figure1_instance()),
+]
 
 
 def _some_networks():
@@ -654,6 +664,60 @@ class TestNetworkDecisions:
             for _, s in tallies
         ]
         _checked_network_run(inst, policy, horizon, seed, tallies, trans, _shifted_log(shift))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(("ucb", "mw-ucb")),
+        st.one_of(generated_networks(), st.sampled_from(_SHARED_QUEUE)),
+        st.integers(1, 2000),
+        st.integers(0, 2**32),
+    )
+    def test_fresh_learner_equals_reference(self, policy, inst, horizon, seed):
+        """Fresh ucb and mw-ucb runs with the real math.log, long enough for
+        queues to build: run_network weighs only the maximal feasible rows
+        (and runs a lone one on q alone), yet every decision is
+        maxweight_select's over all feasible rows."""
+        _checked_network_run(inst, policy, horizon, seed)
+
+    def test_several_maximal_rows_bind(self):
+        """Servers 1, 2 and 4 share queue 0, servers 0 and 3 queue 1.  About
+        a third of this run's periods offer two or more maximal feasible
+        rows, and in nearly all of those the gains pick one that is not
+        stored first."""
+        inst = _SHARED_QUEUE[1]
+        tr = _checked_network_run(inst, "mw-ucb", 3000, 0)
+        several = []
+        for q, sigma in zip(tr.q[:-1].tolist(), map(tuple, tr.schedule.tolist())):
+            fits = feasible_schedules(inst.schedule_table, q)
+            top = [a for a in fits if not any(a != b and all(map(int.__le__, a, b)) for b in fits)]
+            if len(top) >= 2:
+                several.append(sigma != top[0])
+        assert len(several) > 900 and sum(several) > 900
+
+    def test_two_servers_on_one_job(self):
+        """One job arrives every period and every service succeeds, so queue
+        0 holds one job from period 2 on: (0, 1) and (1, 0) both fit and
+        are maximal, (1, 1) does not fit.  Server 0's higher index wins at
+        period 2 although (0, 1) is stored first."""
+        inst = NetworkInstance(
+            n=1,
+            k=2,
+            arrivals=ArrivalModel(support=((1,),), probs=(1.0,)),
+            mu=(1.0, 1.0),
+            schedules=ScheduleSet.closure([(1, 1)], 2),
+            server_queue=(0, 0),
+            transitions=NetworkInstance.exit_only_transitions(1, 2),
+        )
+        assert inst.schedules.schedules.index((0, 1)) < inst.schedules.schedules.index((1, 0))
+        tr = _checked_network_run(inst, "mw-ucb", 40, tallies=[(10, 8), (10, 2)])
+        assert tr.q[1:, 0].tolist() == [1] * 40
+        assert tr.schedule[1].tolist() == [1, 0] and tr.schedule[:, 1].any()
+
+    def test_past_the_float_guard(self):
+        """Starting counts of 10**25 put m_sigma**2 * m_arr * H * sqrt(c0 + H)
+        above 2**50, so the run weighs every feasible row; it still binds."""
+        tallies = [(10**25, 6 * 10**24), (10**25, 5 * 10**24), (10**25, 7 * 10**24)]
+        _checked_network_run(_TANDEM, "mw-ucb", 300, 0, tallies)
 
     def test_bp_penalty_in_ascending_queue_order(self):
         """Both servers of queue 0 route to queues 1..3 with the same LCBs in
