@@ -141,6 +141,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
         doc = dict(doc)
         seeds = doc.get("seeds", {"base": 0, "count": 1})
         if isinstance(seeds, dict):
@@ -479,13 +481,13 @@ COUPLING_BLOCK_BYTES = 4 << 20  # bytes of service draws per seed block in _coup
 
 
 def _coupling_queues(inst: SingleQueueInstance, seeds, horizon: int, mode: str) -> np.ndarray:
-    """Per seed, run_single(inst, "ucb", horizon, seed, service_mode=mode)
-    .q[horizon - 1, 0], the queue after periods 1..horizon-1, for horizon
-    in 1..6.  Through period 5 ucb serves only server 0: no job waits in
-    period 1, so before period t server 0 has c <= t - 2 <= 2 ln t pulls
-    and its index s/c + sqrt(2 ln t / c) is at least 1.0 (or it is
-    untried), so it wins at once.  The queue is then server 0's Lindley
-    path, drawn from each seed's streams in seed blocks."""
+    """Per seed, ucb's queue after periods 1..horizon-1 (horizon in 1..6) on
+    one service uniform per period, as run_single draws (mode "shared"), or
+    one per (period, server) (mode "independent").  Through period 5 ucb
+    serves only server 0: no job waits in period 1, so before period t server
+    0 has c <= t - 2 <= 2 ln t pulls and its index s/c + sqrt(2 ln t / c) is
+    at least 1.0 (or it is untried), so it wins at once.  The queue is then
+    server 0's Lindley path, drawn from each seed's streams in seed blocks."""
     if not 1 <= horizon <= 6:
         raise ValueError(f"coupling horizon {horizon} outside 1..6")
     shape = (horizon,) if mode == "shared" else (horizon, inst.k)
@@ -615,9 +617,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, GenerationFailed, EnumerationCapExceeded) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, GenerationFailed, EnumerationCapExceeded) as exc:
         # ConfigError, ParameterError, PolicyError and json.JSONDecodeError
-        # are ValueErrors.
+        # are ValueErrors; an OverflowError is a size past a C index.
         print(f"error: {exc}")
         return 1
     except MemoryError as exc:

@@ -177,14 +177,12 @@ def run_single(
     horizon: int,
     seed: int,
     snapshot_stride: int = 0,
-    service_mode: str = "shared",
 ) -> Trace:
     """Simulate the scalar-queue dynamics Q(t+1) = Q(t) - S_J(t) + A(t).
 
-    service_mode "shared" drives all server indicators off one uniform
-    per period (the coupling construction); "independent" draws one
-    uniform per (period, server) instead.  Both have the same law.
-    snapshot_stride is accepted for compatibility and must be 0.
+    One service uniform per period drives every server's indicator (the
+    coupling construction).  snapshot_stride is accepted for compatibility
+    and must be 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -196,13 +194,10 @@ def run_single(
     j = handle.server(instance)
 
     arrive = (RandomSource(seed, "arrival").uniforms(horizon) <= instance.lam).astype(np.int64)
-    if service_mode not in ("shared", "independent"):
-        raise ValueError(f"unknown service_mode {service_mode!r}")
-    shared = service_mode == "shared"
-    u_srv = RandomSource(seed, "service").uniforms(*((horizon,) if shared else (horizon, k)))
+    u_srv = RandomSource(seed, "service").uniforms(horizon)
 
     if j is not None:
-        q_hist = _lindley(arrive, (u_srv if shared else u_srv[:, j]) <= mu[j])
+        q_hist = _lindley(arrive, u_srv <= mu[j])
         srv_hist = np.where(q_hist[:horizon] > 0, j, -1)
     else:
         # The loop decides itself: round-robin, or (every learner reduces to
@@ -245,7 +240,7 @@ def run_single(
                         bound, lead, alone = max(rivals, default=-1.0) + 1e-9, j, True
                 srv_list[t - 1] = j
                 counts[j] += 1
-                if (u_srv[t - 1] if shared else u_srv[t - 1][j]) <= mu[j]:
+                if u_srv[t - 1] <= mu[j]:
                     q -= 1
                     succ[j] += 1
                 if j != lead:

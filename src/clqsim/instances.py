@@ -1,6 +1,8 @@
 """Instance families used by the experiments and the generators' tests."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .model import (
@@ -118,29 +120,16 @@ def _try_draw(rng, n, k, epsilon, kind):
         if lam <= 0.0:
             return None
         return single_to_network(SingleQueueInstance(k=k, lam=float(lam), mu=mu))
-    structure = _draw_structure(rng, n, k, kind)
-    if structure is None:
-        return None
-    base_support, base_probs, mu, schedules, server_queue, transitions = structure
-    shell = NetworkInstance(
-        n=n,
-        k=k,
-        arrivals=ArrivalModel(support=base_support, probs=base_probs),
-        mu=mu,
-        schedules=schedules,
-        server_queue=server_queue,
-        transitions=transitions,
-    )
-    return _scale_arrivals(shell, epsilon)
+    shell = _draw_structure(rng, n, k, kind)
+    return None if shell is None else _scale_arrivals(shell, epsilon)
 
 
 def _draw_structure(rng, n, k, kind):
-    if k < n:
-        return None
+    """The random shell that _scale_arrivals scales: its arrival support
+    holds the zero vector; None when that is all it holds."""
     # Every queue owns at least one server; leftovers land at random.
     owners = list(range(n)) + [int(rng.integers(0, n)) for _ in range(k - n)]
     rng.shuffle(owners)
-    server_queue = tuple(owners)
     mu = tuple(float(v) for v in rng.uniform(0.2, 0.95, size=k))
     max_active = int(rng.integers(1, min(k, 3) + 1))
     active = set(int(i) for i in rng.choice(k, size=max_active, replace=False))
@@ -160,7 +149,6 @@ def _draw_structure(rng, n, k, kind):
         row[int(rng.integers(0, n))] = 0.5
         row[n] = 0.5
         rows[int(rng.integers(0, k))] = tuple(row)
-    transitions = tuple(rows)
     support = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(3)]
     support.append((0,) * n)
     # Deduplicate while keeping draw order so probabilities stay aligned.
@@ -173,13 +161,14 @@ def _draw_structure(rng, n, k, kind):
         return None
     probs = rng.uniform(0.1, 1.0, size=len(dedup))
     probs = probs / probs.sum()
-    return (
-        tuple(dedup),
-        tuple(float(p) for p in probs),
-        mu,
-        schedules,
-        server_queue,
-        tuple(rows),
+    return NetworkInstance(
+        n=n,
+        k=k,
+        arrivals=ArrivalModel(support=tuple(dedup), probs=tuple(float(p) for p in probs)),
+        mu=mu,
+        schedules=schedules,
+        server_queue=tuple(owners),
+        transitions=tuple(rows),
     )
 
 
@@ -190,37 +179,21 @@ def _scale_arrivals(shell: NetworkInstance, epsilon: float):
     mean by the same factor c, and slackness is continuous and strictly
     increasing as c drops, so bisection converges.
     """
-    base = shell.arrivals
-    zero = (0,) * shell.n
-    if zero not in base.support:
-        support = base.support + (zero,)
-        probs = base.probs + (0.0,)
-    else:
-        support, probs = base.support, base.probs
-    zero_at = support.index(zero)
+    support, probs = shell.arrivals.support, shell.arrivals.probs
+    zero_at = support.index((0,) * shell.n)
 
     def with_scale(c: float) -> NetworkInstance:
         scaled = [p * c if i != zero_at else 0.0 for i, p in enumerate(probs)]
         scaled[zero_at] = 1.0 - sum(s for i, s in enumerate(scaled) if i != zero_at)
-        return NetworkInstance(
-            n=shell.n,
-            k=shell.k,
-            arrivals=ArrivalModel(support=support, probs=tuple(scaled)),
-            mu=shell.mu,
-            schedules=shell.schedules,
-            server_queue=shell.server_queue,
-            transitions=shell.transitions,
-        )
+        return dataclasses.replace(shell, arrivals=ArrivalModel(support=support, probs=tuple(scaled)))
 
     def slack(c: float) -> float:
         return traffic_slackness(with_scale(c)).epsilon
 
     # Zero arrivals give the largest achievable slackness for this shape;
     # the scale can exceed 1 until the zero row's mass is used up.
-    others = sum(p for i, p in enumerate(probs) if i != zero_at)
-    if others <= 0.0:
-        return None
-    c_max = 1.0 / others
+    # _draw_structure keeps a non-zero support row, so its mass is positive.
+    c_max = 1.0 / sum(p for i, p in enumerate(probs) if i != zero_at)
     top = slack(0.0)
     if top < epsilon - _SLACK_TOL:
         return None

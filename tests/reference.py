@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from clqsim.engine import _masks
+from clqsim.engine import RandomSource, _masks
 from clqsim.metrics import _weight
 from clqsim.model import as_network
 from clqsim.policies import PolicyState
@@ -75,6 +75,24 @@ def ucb_select(state: PolicyState, q: int, t: int) -> int | None:
         return None
     idx = ucb_indices(state, t)
     return idx.index(max(idx))
+
+
+def ucb_queues_per_server(inst, horizon: int, seed: int) -> list[int]:
+    """Q(1..horizon+1) of ucb on a single queue, one period at a time, with
+    per-server service draws: ucb_select's server j in period t succeeds when
+    RandomSource(seed, "service").uniforms(horizon, k)[t - 1, j] <= mu_j.
+    (run_single draws one service uniform per period instead.)"""
+    u_arr = RandomSource(seed, "arrival").uniforms(horizon)
+    u_srv = RandomSource(seed, "service").uniforms(horizon, inst.k)
+    state, q = PolicyState(inst.k, 1), [0]
+    for t in range(1, horizon + 1):
+        served, j = 0, ucb_select(state, q[-1], t)
+        if j is not None:
+            served = int(u_srv[t - 1, j] <= inst.mu[j])
+            state.counts[j] += 1
+            state.succ[j] += served
+        q.append(q[-1] - served + int(u_arr[t - 1] <= inst.lam))
+    return q
 
 
 def _heaviest(table, q, gain) -> tuple[int, ...]:

@@ -976,6 +976,58 @@ class TestOutOfMemory:
         assert out.startswith("error: out of memory: ") and out.count("\n") == 1
 
 
+class TestSizePastCIndex:
+    # 10**20 does not fit a C index (ssize_t), so these fail at once, before
+    # any list or array of that length exists.
+    BIG = 10**20
+
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seeds": {"base": 0, "count": BIG}},
+            {"instance": {"family": "lower-bound", "k": BIG, "epsilon": 0.1}},
+        ],
+        ids=["seeds-count", "family-k"],
+    )
+    def test_config_exit_one(self, tmp_path, fig1_file, capsys, command, overrides):
+        assert main([command, "-c", _config(tmp_path, **overrides)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lower-bound", "--k", str(BIG), "--epsilon", "0.1"],
+            ["random-multi", "--n", str(BIG), "--k", str(BIG), "--epsilon", "0.1"],
+        ],
+        ids=["lower-bound", "random-multi"],
+    )
+    def test_make_instance_exit_one(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "inst.json"
+        assert main(["make-instance", *argv, "--out", str(out_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_slackness_exit_one(self, tmp_path, capsys):
+        # A multi instance without transitions gets exit-only rows, one per server.
+        doc = {
+            "kind": "multi",
+            "n": self.BIG,
+            "k": 1,
+            "lambda": {"support": [[0]], "probs": [1.0]},
+            "mu": [0.5],
+            "schedules": [[1]],
+            "server_queue": [0],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["slackness", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
 class TestConfigParsing:
     def test_seed_range_expansion(self, tmp_path, fig1_file):
         cfg = ExperimentConfig.from_json(_config(tmp_path, seeds={"base": 5, "count": 3}))
@@ -985,6 +1037,14 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_json(_config(tmp_path))
         assert os.path.isabs(cfg.instance)
         assert os.path.isabs(cfg.out_dir)
+
+    @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
+    @pytest.mark.parametrize("doc, kind", [(5, "int"), ([1], "list"), ("x.json", "str"), (None, "NoneType")])
+    def test_top_level_not_an_object_exit_one(self, tmp_path, capsys, command, doc, kind):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "-c", str(path)]) == 1
+        assert capsys.readouterr().out == f"error: a config must be a JSON object, got {kind}\n"
 
     def test_missing_keys(self):
         with pytest.raises(ConfigError):

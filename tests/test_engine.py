@@ -32,7 +32,7 @@ from clqsim.model import (
     slackness_single,
 )
 from clqsim.policies import PolicyError, PolicyState
-from reference import mu_hat_of
+from reference import mu_hat_of, ucb_queues_per_server
 from reference import replay_csv_error as reference_replay_csv_error
 
 
@@ -185,13 +185,6 @@ class TestRunSingle:
             tr = run_single(figure1_instance(), policy, 300, 2)
             assert replay_error(tr) is None
 
-    def test_service_modes_have_same_law_shape(self):
-        inst = SingleQueueInstance(2, 0.4, (0.5, 0.7))
-        shared = run_single(inst, "ucb", 200, 0, service_mode="shared")
-        indep = run_single(inst, "ucb", 200, 0, service_mode="independent")
-        assert replay_error(shared) is None
-        assert replay_error(indep) is None
-
     def test_snapshot_stride_must_be_zero(self):
         # Runs record no estimator snapshots, so the keyword accepts only 0.
         single, net = figure1_instance(), tandem_instance(2, (0.8, 0.6), 0.5)
@@ -215,12 +208,11 @@ class TestRunSingle:
             run_single(figure1_instance(), "ucb", 0, 0)
 
 
-def _fixed_server_reference(inst, server, horizon, seed, service_mode):
+def _fixed_server_reference(inst, server, horizon, seed):
     """Per-period loop of a single queue served only by server: the recursion
     Q(t+1) = Q(t) - S(t) + A(t), service tried only when Q(t) >= 1."""
     u_arr = RandomSource(seed, "arrival").uniforms(horizon)
-    shape = (horizon,) if service_mode == "shared" else (horizon, inst.k)
-    u_srv = RandomSource(seed, "service").uniforms(*shape)
+    u_srv = RandomSource(seed, "service").uniforms(horizon)
     q = np.zeros((horizon + 1, 1), dtype=np.int64)
     schedule = np.zeros((horizon, inst.k), dtype=np.uint8)
     services = np.zeros((horizon, inst.k), dtype=np.uint8)
@@ -228,8 +220,7 @@ def _fixed_server_reference(inst, server, horizon, seed, service_mode):
     for t in range(horizon):
         s = 0
         if q[t, 0] > 0:
-            u = u_srv[t] if service_mode == "shared" else u_srv[t, server]
-            s = int(u <= inst.mu[server])
+            s = int(u_srv[t] <= inst.mu[server])
             schedule[t, server], services[t, server] = 1, s
         arrivals[t, 0] = int(u_arr[t] <= inst.lam)
         q[t + 1, 0] = q[t, 0] - s + arrivals[t, 0]
@@ -258,17 +249,17 @@ class TestFixedServerClosedForm:
     @pytest.mark.parametrize(
         "policy, server", [("oracle-best", 4), ("oracle-mw", 4), ("fixed:1", 1)]
     )
-    @pytest.mark.parametrize("service_mode", ["shared", "independent"])
-    @pytest.mark.parametrize("horizon", [1, 2, 5000])
-    def test_equals_reference_recursion(self, policy, server, service_mode, horizon):
+    # Each id tags the horizon with the service draw, one shared uniform per period.
+    @pytest.mark.parametrize("horizon", [1, 2, 5000], ids=["1-shared", "2-shared", "5000-shared"])
+    def test_equals_reference_recursion(self, policy, server, horizon):
         inst = figure1_instance()  # lam 0.45: fixed:1 (mu 0.35) is unstable
         # The closed form replaces the loop: run_single executes as many lines
         # at this horizon as at horizon 3, so no per-period code runs.
-        _, lines = _run_single_lines(inst, policy, 3, 0, service_mode=service_mode)
+        _, lines = _run_single_lines(inst, policy, 3, 0)
         for seed in range(10):
-            tr, n = _run_single_lines(inst, policy, horizon, seed, service_mode=service_mode)
+            tr, n = _run_single_lines(inst, policy, horizon, seed)
             assert n == lines
-            want = _fixed_server_reference(inst, server, horizon, seed, service_mode)
+            want = _fixed_server_reference(inst, server, horizon, seed)
             for got, ref in zip((tr.q, tr.schedule, tr.services, tr.arrivals), want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -443,8 +434,9 @@ class TestCoupledPair:
 
 
 class TestUcbQueuePaths:
-    """cli._coupling_queues, server 0's Lindley queue, equals ucb's queue
-    from run_single up to horizon 6."""
+    """cli._coupling_queues, server 0's Lindley queue, equals ucb's queue up
+    to horizon 6: run_single's on the shared draw, and the per-period
+    reference's (reference.ucb_queues_per_server) on per-server draws."""
 
     INSTANCES = [
         figure1_instance(),
@@ -455,7 +447,9 @@ class TestUcbQueuePaths:
 
     @staticmethod
     def _ucb_queue(inst, horizon, seed, mode):
-        return run_single(inst, "ucb", horizon, seed, service_mode=mode).q[horizon - 1, 0]
+        if mode == "independent":
+            return ucb_queues_per_server(inst, horizon, seed)[horizon - 1]
+        return run_single(inst, "ucb", horizon, seed).q[horizon - 1, 0]
 
     @pytest.mark.parametrize("inst", INSTANCES)
     @pytest.mark.parametrize("mode", ["shared", "independent"])

@@ -1,4 +1,7 @@
 """Named instances, families, and the slackness-targeted generator."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from clqsim.instances import (
 from clqsim.model import (
     NetworkInstance,
     SingleQueueInstance,
+    instance_to_dict,
     single_to_network,
     slackness_single,
     traffic_slackness,
@@ -128,3 +132,37 @@ class TestRandomWithSlackness:
         for kind in ("multi", "network"):
             with pytest.raises(ParameterError, match="n >= 1"):
                 random_with_slackness(n=0, k=3, epsilon=0.1, seed=0, kind=kind)
+
+
+# (n, k) shapes per kind for the generator pin; every shape runs at each
+# epsilon in _PIN_EPSILONS and each seed in range(3).
+_PIN_SHAPES = {"single": ((1, 1), (1, 4)), "multi": ((1, 1), (2, 3), (3, 5)), "network": ((1, 1), (2, 4), (3, 5))}
+_PIN_EPSILONS = (0.1, 0.6, 1.0)
+_PIN_DIGEST = "a0d3516629d05e9bee38ea27bb3c6fbd1308aee6073c6209a281654654b4b05f"
+
+
+class TestGeneratorPinned:
+    def test_sweep_digest(self):
+        """random_with_slackness over a fixed sweep, hashed: each instance as
+        instance_to_dict's sorted JSON, or the GenerationFailed message.  The
+        sweep reaches every retry of the generator: single draws whose
+        lam = max(mu) - epsilon is not positive (epsilon 0.6 and 1.0), draws
+        whose arrival support is only the zero vector (n = 1 multi), network
+        draws whose transitions all exit, repaired with one 0.5/0.5 row, and
+        searches that run out of draws (29 of the 72 cases)."""
+        h, failed, repaired = hashlib.sha256(), 0, 0
+        for kind, shapes in _PIN_SHAPES.items():
+            for n, k in shapes:
+                for epsilon in _PIN_EPSILONS:
+                    for seed in range(3):
+                        try:
+                            inst = random_with_slackness(n, k, epsilon, seed, kind)
+                        except GenerationFailed as exc:
+                            failed += 1
+                            h.update(str(exc).encode())
+                        else:
+                            h.update(json.dumps(instance_to_dict(inst), sort_keys=True).encode())
+                            repaired += kind == "network" and any(0.5 in row[:n] for row in inst.transitions)
+                        h.update(b"\n")
+        assert (failed, repaired > 0) == (29, True)
+        assert h.hexdigest() == _PIN_DIGEST

@@ -378,7 +378,7 @@ def _queues(inst, top=9):
     return st.lists(st.integers(0, top), min_size=inst.n, max_size=inst.n)
 
 
-def _checked_ucb_run(inst, horizon, seed=0, mode="shared", tallies=(), log=math.log):
+def _checked_ucb_run(inst, horizon, seed=0, tallies=(), log=math.log):
     """run_single(inst, "ucb", ...) from the given starting (count, successes)
     tallies, with math.log replaced by log in run_single and ucb_select alike.
     Asserts that every busy period's server is ucb_select's on the tallies
@@ -391,7 +391,7 @@ def _checked_ucb_run(inst, horizon, seed=0, mode="shared", tallies=(), log=math.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PolicyState", lambda k, n: state)
         mp.setattr(math, "log", log)
-        tr = run_single(inst, "ucb", horizon, seed, service_mode=mode)
+        tr = run_single(inst, "ucb", horizon, seed)
         for t, (q, row, won) in enumerate(zip(tr.q[:-1, 0].tolist(), tr.schedule, tr.services), 1):
             want = ucb_select(PolicyState(inst.k, 1, list(counts), list(succ)), q, t)
             assert row.sum() == (q > 0), f"period {t}"
@@ -447,10 +447,9 @@ class TestBoundSelectors:
         st.integers(1, 4000),
         st.integers(1, 400),
         st.integers(0, 2**32),
-        st.sampled_from(["shared", "independent"]),
         st.data(),
     )
-    def test_ucb_leader_bound_equals_ucb_select(self, k, t, horizon, seed, mode, data):
+    def test_ucb_leader_bound_equals_ucb_select(self, k, t, horizon, seed, data):
         """The leader bound carries from period to period.  Every choice must
         still be ucb_select's while the leader and other servers are pulled,
         periods pass the bound's horizon, and indices tie exactly (repeated
@@ -462,7 +461,7 @@ class TestBoundSelectors:
         tallies = data.draw(st.lists(tally, min_size=k, max_size=k))
         mu = data.draw(st.lists(st.sampled_from([0.3, 0.5, 0.5, 0.6, 0.99]), min_size=k, max_size=k))
         inst = SingleQueueInstance(k, data.draw(st.sampled_from([0.5, 0.9, 1.0])), tuple(mu))
-        _checked_ucb_run(inst, horizon, seed, mode, tallies, _shifted_log(t - 1))
+        _checked_ucb_run(inst, horizon, seed, tallies, _shifted_log(t - 1))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -475,10 +474,9 @@ class TestBoundSelectors:
         st.floats(0.3, 1.0),
         st.integers(200, 2500),
         st.integers(0, 2**32),
-        st.sampled_from(["shared", "independent"]),
         st.data(),
     )
-    def test_run_single_ucb_equals_ucb_select(self, k, rates, lam, horizon, seed, mode, data):
+    def test_run_single_ucb_equals_ucb_select(self, k, rates, lam, horizon, seed, data):
         """Untouched runs: equal rates give exact index ties, rates near 1 the
         clamp, and horizons past period 256 span several bound windows."""
         kind, r = rates
@@ -487,7 +485,7 @@ class TestBoundSelectors:
         else:
             lo = 0.9 if kind == "near-one" else 0.05
             mu = tuple(data.draw(st.lists(st.floats(lo, 1.0), min_size=k, max_size=k)))
-        _checked_ucb_run(SingleQueueInstance(k, lam, mu), horizon, seed, mode)
+        _checked_ucb_run(SingleQueueInstance(k, lam, mu), horizon, seed)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -495,10 +493,9 @@ class TestBoundSelectors:
         st.floats(0.3, 1.0),
         st.integers(1, 600),
         st.integers(0, 2**32),
-        st.sampled_from(["shared", "independent"]),
     )
-    def test_run_single_round_robin_rotates(self, k, lam, horizon, seed, mode):
-        tr = run_single(SingleQueueInstance(k, lam, (0.5,) * k), "round-robin", horizon, seed, service_mode=mode)
+    def test_run_single_round_robin_rotates(self, k, lam, horizon, seed):
+        tr = run_single(SingleQueueInstance(k, lam, (0.5,) * k), "round-robin", horizon, seed)
         busy = tr.q[:-1, 0] > 0
         assert (tr.schedule.sum(axis=1) == busy).all()
         assert tr.schedule[busy].argmax(axis=1).tolist() == [i % k for i in range(busy.sum())]
