@@ -62,10 +62,12 @@ class ConfigError(ValueError):
     """Bad experiment configuration."""
 
 
-def _require_number(name: str, value, kind=numbers.Integral) -> None:
+def _require_number(name: str, value, kind=numbers.Integral, top=math.inf) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a real number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if value > top:
+        raise ConfigError(f"{name} must be at most {top}, got {value!r}")
 
 
 # (name, accepted types, noun) of the config fields checked by type alone.
@@ -114,7 +116,7 @@ class ExperimentConfig:
             if not 0 < self.epsilon < math.inf:
                 raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         for name in ("horizon", "coupling_seeds", "snapshot_stride"):
-            _require_number(name, getattr(self, name))
+            _require_number(name, getattr(self, name), top=sys.maxsize)
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.coupling_seeds < 0:
@@ -150,7 +152,7 @@ class ExperimentConfig:
                 raise ConfigError(f"seeds takes only base and count, got {sorted(seeds)}")
             base, count = seeds.get("base", 0), seeds.get("count", 1)
             _require_number("seeds base", base)
-            _require_number("seeds count", count)
+            _require_number("seeds count", count, top=sys.maxsize)
             doc["seeds"] = list(range(base, base + count))
         elif not isinstance(seeds, list):
             raise ConfigError(f"seeds must be a list or {{base, count}}, got {seeds!r}")
@@ -194,7 +196,7 @@ def build_family(spec: dict):
     checks = [(f, spec[f], numbers.Integral) for f in ("n", "k", "seed") if f in spec]
     checks += [(f, spec[f], numbers.Real) for f in ("epsilon", "lambda0") if f in spec]
     for name, value, kind in checks + [("mu entries", v, numbers.Real) for v in mu]:
-        _require_number(name, value, kind)
+        _require_number(name, value, kind, sys.maxsize if name in ("n", "k") else math.inf)
     if spec.get("seed", 0) < 0:
         raise ConfigError(f"seed must be non-negative, got {spec['seed']}")
     if family == "figure1":
@@ -616,14 +618,20 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, KeyError, OSError, OverflowError, GenerationFailed, EnumerationCapExceeded) as exc:
-        # ConfigError, ParameterError, PolicyError and json.JSONDecodeError
-        # are ValueErrors; an OverflowError is a size past a C index.
-        print(f"error: {exc}")
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'MemoryError'}")
+        try:
+            code = args.fn(args)
+        except (ValueError, KeyError, OSError, OverflowError, GenerationFailed, EnumerationCapExceeded) as exc:
+            # ConfigError, ParameterError, PolicyError and json.JSONDecodeError
+            # are ValueErrors; an OverflowError is a size past a C index.
+            print(f"error: {exc}")
+            code = 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {str(exc) or 'MemoryError'}")
+            code = 1
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
+    except BrokenPipeError:  # nothing more can be reported; os.devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

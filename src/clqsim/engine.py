@@ -21,7 +21,7 @@ from .model import (
     as_network,
     structure_constants,
 )
-from .policies import PolicyError, PolicyHandle, PolicyState, feasible_rows
+from .policies import PolicyError, PolicyHandle, PolicyState, feasible_schedules
 
 STREAM_IDS = {"arrival": 0, "service": 1, "transition": 2, "policy": 3}
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -318,21 +318,22 @@ def run_network(
     # fixed and oracle-best run one server's singleton row when it exists and
     # that server's queue is non-empty, else the zero schedule; round-robin's
     # pointer stands while the system is empty.  The others take the first
-    # feasible row (policies.feasible_rows) of largest summed per-server gain:
-    # rate * Q(owner) less, for BackPressure, the sum over queues d in
-    # ascending order of the transition rate to d times Q(d).  The oracles use
-    # true rates, the learners the UCB rate min(1, s/c + sqrt(2 log t / c)),
-    # 1 while untried, and the LCB max(0, r/c - sqrt(2 log t / c)), one sqrt
-    # per server.  A per-run memo on the exact q holds the chosen row where it
-    # depends on q alone (an oracle's, or a lone candidate row's), else the
-    # candidate rows and the (server, owner) pairs in them, shared between the
-    # q that clip alike.  Candidates are the feasible rows; under prune (ucb,
-    # mw-ucb) only the maximal ones, no proper subset of another.  From period
-    # 2 on (q(1) = 0) each of their gains is at least sqrt(2 log 2 / (c0 + H)),
-    # c0 the largest starting count, so a proper superset outweighs a row even
-    # in floats: a sum of m_sigma gains, each at most m_arr * H, errs by at
-    # most gamma_(m_sigma - 1) * m_sigma * m_arr * H, and prune's guard keeps
-    # two such errors below that least gain.  So the first heaviest row is
+    # feasible row of largest summed per-server gain: rate * Q(owner) less,
+    # for BackPressure, the sum over queues d in ascending order of the
+    # transition rate to d times Q(d).  The oracles use true rates, the
+    # learners the UCB rate min(1, s/c + sqrt(2 log t / c)), 1 while untried,
+    # and the LCB max(0, r/c - sqrt(2 log t / c)), one sqrt per server.  A
+    # per-run memo on the exact q holds the chosen row where it depends on q
+    # alone (an oracle's, or a lone candidate row's), else the candidate rows
+    # and the (server, owner) pairs in them, from a per-run dict on q clipped
+    # at table.cap that scans (feasible_schedules) once per clipped q.
+    # Candidates are the feasible rows; under prune (ucb, mw-ucb) only the
+    # maximal ones, no proper subset of another.  From period 2 on (q(1) = 0)
+    # each of their gains is at least sqrt(2 log 2 / (c0 + H)), c0 the
+    # largest starting count, so a proper superset outweighs a row even in
+    # floats: a sum of m_sigma gains, each at most m_arr * H, errs by at most
+    # gamma_(m_sigma - 1) * m_sigma * m_arr * H, and prune's guard keeps two
+    # such errors below that least gain.  So the first heaviest row is
     # maximal.  Other exact shortcuts: gains are summed only for servers in a
     # candidate row; a penalty reads only the destinations whose tally is
     # non-zero (nz, ascending), as a zero tally adds nothing.
@@ -352,7 +353,7 @@ def run_network(
     counts, succ, trans = state.counts, state.succ, state.trans
     nz = [[d for d, x in enumerate(row) if x] for row in trans]
     servers, demand = table.servers, table.demand
-    gain, memo, pairs, rr = [0.0] * k, {}, {}, 0
+    gain, memo, clipped, rr = [0.0] * k, {}, {}, 0
     sqrt, log = math.sqrt, math.log
     prune = v in ("ucb", "mw-ucb") and sc.m_sigma**2 * sc.m_arr * horizon * sqrt(max(counts) + horizon) < 2**50
     q, q_flat, sched_rows = [0] * n, [], []
@@ -365,13 +366,13 @@ def run_network(
             r = lone[j] if q[owner[j]] else idle
         else:
             if (r := memo.get(key := tuple(q))) is None:
-                fits = feasible_rows(table, q)
-                if (r := pairs.get(id(fits))) is None:
+                if (r := clipped.get(clip := tuple(map(min, q, table.cap)))) is None:
+                    fits = [(ri, servers[ri]) for ri in map(table.row.get, feasible_schedules(table, q))]
                     masks = [sum(1 << s for s in sel) for _, sel in fits] if prune else []
                     # Under prune, the rows no proper subset (a & b == a != b) of another; else fits.
                     top = [f for f, a in zip(fits, masks) if not any(a & b == a != b for b in masks)] or fits
                     act = sorted({(srv, owner[srv]) for _, sel in top for srv in sel})
-                    r = pairs[id(fits)] = top[0][0] if len(top) == 1 else (top, act)
+                    r = clipped[clip] = top[0][0] if len(top) == 1 else (top, act)
                 memo[key] = r
             if r.__class__ is tuple:
                 fits, act = r

@@ -4,7 +4,8 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -124,7 +125,7 @@ class ScheduleTable:
     servers[r] lists the servers schedule r selects, ascending; demand[r]
     holds (queue, jobs needed) pairs; row maps a schedule tuple to r.
     cap[i] is the most jobs any schedule needs from queue i, so a fit depends
-    only on q clipped at cap: the key of memo (policies.feasible_rows).
+    only on q clipped at cap, the key of run_network's per-run feasible sets.
     """
 
     schedules: tuple[tuple[int, ...], ...]
@@ -133,7 +134,6 @@ class ScheduleTable:
     demand: tuple[tuple[tuple[int, int], ...], ...]
     row: dict[tuple[int, ...], int]
     cap: tuple[int, ...]
-    memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, schedules: ScheduleSet, server_queue: Sequence[int]) -> "ScheduleTable":
@@ -443,6 +443,9 @@ def instance_from_dict(doc: dict) -> SingleQueueInstance | NetworkInstance:
     unknown = set(doc) - (_SINGLE_FIELDS if kind == "single" else _NETWORK_FIELDS)
     if unknown:
         raise ValueError(f"unknown fields for a {kind!r} instance: {sorted(unknown, key=str)}")
+    for name in ("n", "k"):
+        if name in doc and _field(doc, name, int) > sys.maxsize:
+            raise ValueError(f"instance field {name!r} must be at most {sys.maxsize}, got {doc[name]!r}")
     if kind == "single":
         if "n" in doc and _field(doc, "n", int) != 1:
             raise ValueError(f"a 'single' instance has one queue (n = 1), got n = {doc['n']!r}")

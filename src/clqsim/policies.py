@@ -1,8 +1,8 @@
 """Policy names for the learning schedulers (UCB, MW-UCB, BP-UCB) and their
-full-knowledge oracles, the per-run tallies, and the feasible-schedule lookup.
+full-knowledge oracles, the per-run tallies, and the feasible-schedule scan.
 run_single and run_network make every decision in their own loops, on a
-PolicyState they allocate per run; PolicyHandle.server resolves the one
-server of a fixed-server run.
+PolicyState and caches they allocate per run; PolicyHandle.server resolves
+the one server of a fixed-server run.
 
 The tallies are integer success/selection counts, so sample means are exact
 ratios, never drifting running averages.
@@ -59,18 +59,6 @@ def feasible_schedules(table: ScheduleTable, q: Sequence[int]) -> list[tuple[int
         for sigma, need in zip(table.schedules, table.demand)
         if all(q[i] >= c for i, c in need)
     ]
-
-
-def feasible_rows(table: ScheduleTable, q: Sequence[int]) -> list:
-    """(row, servers) of each schedule that fits q, in stored order,
-    memoised in table.memo on q clipped at table.cap."""
-    key = tuple(map(min, q, table.cap))
-    rows = table.memo.get(key)
-    if rows is None:
-        rows = table.memo[key] = [
-            (r, table.servers[r]) for r in map(table.row.get, feasible_schedules(table, q))
-        ]
-    return rows
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
+import sys
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -976,45 +978,85 @@ class TestOutOfMemory:
         assert out.startswith("error: out of memory: ") and out.count("\n") == 1
 
 
+def _cli(argv, stdout=subprocess.PIPE, env=(), timeout=120):
+    """Run `python -m clqsim.cli argv` in a child process on this clqsim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "clqsim.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path, **dict(env)},
+        timeout=timeout,
+    )
+
+
 class TestSizePastCIndex:
-    # 10**20 does not fit a C index (ssize_t), so these fail at once, before
-    # any list or array of that length exists.
+    # 10**20 does not fit a C index (ssize_t): each size past sys.maxsize
+    # fails at once with one line naming its key, before anything of that
+    # length is drawn or allocated.
     BIG = 10**20
+
+    @staticmethod
+    def _one_error_naming(out, key):
+        assert out == f"error: {key} must be at most {sys.maxsize}, got {TestSizePastCIndex.BIG}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "clq", "verify"])
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, key",
         [
-            {"seeds": {"base": 0, "count": BIG}},
-            {"instance": {"family": "lower-bound", "k": BIG, "epsilon": 0.1}},
+            ({"seeds": {"base": 0, "count": BIG}}, "seeds count"),
+            ({"instance": {"family": "lower-bound", "k": BIG, "epsilon": 0.1}}, "k"),
+            ({"horizon": BIG}, "horizon"),
+            ({"instance": {"family": "random-multi", "n": BIG, "k": 4, "epsilon": 0.1}}, "n"),
+            ({"instance": {**instance_to_dict(tandem_instance(2, (0.5, 0.5), 0.2)), "n": BIG}}, "instance field 'n'"),
         ],
-        ids=["seeds-count", "family-k"],
+        ids=["seeds-count", "family-k", "horizon", "family-n", "instance-n"],
     )
-    def test_config_exit_one(self, tmp_path, fig1_file, capsys, command, overrides):
+    def test_config_exit_one(self, tmp_path, fig1_file, capsys, command, overrides, key):
         assert main([command, "-c", _config(tmp_path, **overrides)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("error: ") and out.count("\n") == 1
+        self._one_error_naming(capsys.readouterr().out, key)
+
+    def test_seed_values_stay_unbounded(self, tmp_path, fig1_file, capsys):
+        # A seed is entropy, not a size: base 10**20 runs.
+        assert main(["clq", "-c", _config(tmp_path, seeds={"base": self.BIG, "count": 1})]) == 0
+        assert "ucb: CLQ = " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, key",
         [
-            ["lower-bound", "--k", str(BIG), "--epsilon", "0.1"],
-            ["random-multi", "--n", str(BIG), "--k", str(BIG), "--epsilon", "0.1"],
+            (["lower-bound", "--k", str(BIG), "--epsilon", "0.1"], "k"),
+            (["random-multi", "--n", str(BIG), "--k", str(BIG), "--epsilon", "0.1"], "n"),
         ],
         ids=["lower-bound", "random-multi"],
     )
-    def test_make_instance_exit_one(self, tmp_path, capsys, argv):
+    def test_make_instance_exit_one(self, tmp_path, capsys, argv, key):
         out_path = tmp_path / "inst.json"
         assert main(["make-instance", *argv, "--out", str(out_path)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("error: ") and out.count("\n") == 1
+        self._one_error_naming(capsys.readouterr().out, key)
+        assert not out_path.exists()
+
+    def test_make_instance_large_k_ends(self, tmp_path):
+        # A k past sys.maxsize once drew one owner per server, without end; a
+        # child process bounds the wait.
+        out_path = tmp_path / "inst.json"
+        argv = ["random-multi", "--n", "2", "--k", str(self.BIG), "--epsilon", "0.1", "--out", str(out_path)]
+        proc = _cli(["make-instance", *argv], timeout=60)
+        assert proc.returncode == 1 and proc.stderr == b""
+        self._one_error_naming(proc.stdout.decode(), "k")
         assert not out_path.exists()
 
     def test_slackness_exit_one(self, tmp_path, capsys):
+        self._slackness_exit_one(tmp_path, capsys, "n")
+
+    def test_slackness_k_exit_one(self, tmp_path, capsys):
+        self._slackness_exit_one(tmp_path, capsys, "k")
+
+    def _slackness_exit_one(self, tmp_path, capsys, key):
         # A multi instance without transitions gets exit-only rows, one per server.
         doc = {
             "kind": "multi",
-            "n": self.BIG,
+            "n": 1,
             "k": 1,
             "lambda": {"support": [[0]], "probs": [1.0]},
             "mu": [0.5],
@@ -1022,10 +1064,23 @@ class TestSizePastCIndex:
             "server_queue": [0],
         }
         path = tmp_path / "big.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({**doc, key: self.BIG}))
         assert main(["slackness", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("error: ") and out.count("\n") == 1
+        self._one_error_naming(capsys.readouterr().out, f"instance field {key!r}")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_exit_one_without_traceback(self, tmp_path, fig1_file, unbuffered):
+        # The report's print fails at once when stdout is unbuffered, else in
+        # main's flush; either way the run exits 1 and writes nothing to stderr.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _cli(["clq", "-c", _config(tmp_path)], stdout=write, env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestConfigParsing:

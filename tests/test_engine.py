@@ -352,12 +352,12 @@ class TestRunNetwork:
             assert replay_error(tr) is None
 
     def test_infeasible_schedule_rejected(self, monkeypatch):
-        # The feasible-rows lookup offers only (1, 1) at t=1, when both
-        # queues are empty; the engine must refuse to run an infeasible row.
+        # The feasible scan offers only (1, 1) at t=1, when both queues are
+        # empty; the engine must refuse to run an infeasible row.
         inst = tandem_instance(2, (0.9, 0.9), 0.5)
-        table = inst.schedule_table
-        both = table.row[(1, 1)]
-        monkeypatch.setitem(table.memo, (0, 0), [(both, table.servers[both])])
+        monkeypatch.setattr(
+            engine, "feasible_schedules", lambda table, q: [(1, 1)] if tuple(q) == (0, 0) else []
+        )
         with pytest.raises(PolicyError, match=r"schedule \(1, 1\) infeasible at t=1"):
             run_network(inst, "oracle-mw", 5, 0)
 

@@ -29,7 +29,6 @@ from clqsim.policies import (
     LEARNING_VARIANTS,
     VARIANTS,
     PolicyState,
-    feasible_rows,
     feasible_schedules,
 )
 import reference
@@ -372,10 +371,6 @@ _NETWORKS = [
     random_with_slackness(3, 5, 0.1, 11, "network"),
     tandem_instance(3, (0.8, 0.7, 0.6), 0.4),
 ]
-
-
-def _queues(inst, top=9):
-    return st.lists(st.integers(0, top), min_size=inst.n, max_size=inst.n)
 
 
 def _checked_ucb_run(inst, horizon, seed=0, tallies=(), log=math.log):
@@ -745,15 +740,3 @@ class TestNetworkDecisions:
             tr = run_network(inst, policy, 200, seed)
             need = tr.schedule.astype(np.int64) @ owned
             assert (need <= tr.q[:-1]).all(), policy
-
-
-class TestFeasibleMemo:
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(_NETWORKS), st.data())
-    def test_memo_equals_scan(self, inst, data):
-        table = inst.schedule_table
-        q = data.draw(_queues(inst))
-        rows = feasible_rows(table, q)
-        assert [table.schedules[r] for r, _ in rows] == feasible_schedules(table, q)
-        assert all(servers == table.servers[r] for r, servers in rows)
-        assert feasible_rows(table, q) is rows  # a second lookup hits the memo

@@ -11,6 +11,7 @@ itself is meant to change.
 import hashlib
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -70,13 +71,24 @@ def test_trace_digests_unchanged():
 @pytest.mark.parametrize("label", ["tandem-3", "multi-3-6", "network-2-4"])
 def test_shared_instance_runs_equal_fresh_runs(label):
     """All policies back to back on one instance object, which shares its
-    cached schedule_table and table.memo between runs: no decision may leak
-    from one run into the next, so each trace equals a fresh instance's."""
+    cached schedule_table between runs: no decision may leak from one run
+    into the next, so each trace equals a fresh instance's."""
     shared = _instances()[label]
     for policy in POLICIES:
         for seed in (0, 1):
             got = trace_digest(run(shared, policy, HORIZON, seed))
             assert got == trace_digest(run(_instances()[label], policy, HORIZON, seed)), (policy, seed)
+
+
+@pytest.mark.parametrize("label", ["tandem-3", "multi-3-6"])
+def test_runs_leave_schedule_table_unchanged(label):
+    """run_network keeps its caches in the run: the instance's cached
+    schedule_table pickles to the same bytes after every policy has run on it."""
+    inst = _instances()[label]
+    before = pickle.dumps(inst.schedule_table)
+    for policy in POLICIES:
+        run(inst, policy, HORIZON, 0)
+    assert pickle.dumps(inst.schedule_table) == before
 
 
 if __name__ == "__main__":
