@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .model import (
     ScheduleSet,
     SingleQueueInstance,
     single_to_network,
-    traffic_slackness,
+    slackness_solver,
     validate_instance,
 )
 
@@ -98,6 +99,9 @@ def random_with_slackness(
         raise ParameterError("single-queue instances have n = 1")
     if n < 1:
         raise ParameterError(f"need n >= 1 queues, got {n}")
+    if n > 3 and kind != "single":
+        raise ParameterError(f"n must be at most 3 for a {kind} draw, got {n}: its one maximal "
+                             "schedule runs at most 3 servers, so some queue would have no capacity")
     if k < n:
         # Every queue needs at least one server or its capacity is zero
         # and no positive slackness is reachable.
@@ -181,14 +185,16 @@ def _scale_arrivals(shell: NetworkInstance, epsilon: float):
     """
     support, probs = shell.arrivals.support, shell.arrivals.probs
     zero_at = support.index((0,) * shell.n)
+    solve = slackness_solver(shell)  # only the arrival means change with c
 
-    def with_scale(c: float) -> NetworkInstance:
-        scaled = [p * c if i != zero_at else 0.0 for i, p in enumerate(probs)]
-        scaled[zero_at] = 1.0 - sum(s for i, s in enumerate(scaled) if i != zero_at)
-        return dataclasses.replace(shell, arrivals=ArrivalModel(support=support, probs=tuple(scaled)))
+    def scaled(c: float) -> ArrivalModel:
+        out = [p * c if i != zero_at else 0.0 for i, p in enumerate(probs)]
+        out[zero_at] = 1.0 - sum(s for i, s in enumerate(out) if i != zero_at)
+        return ArrivalModel(support=support, probs=tuple(out))
 
+    @functools.cache
     def slack(c: float) -> float:
-        return traffic_slackness(with_scale(c)).epsilon
+        return solve(scaled(c).means).epsilon
 
     # Zero arrivals give the largest achievable slackness for this shape;
     # the scale can exceed 1 until the zero row's mass is used up.
@@ -198,19 +204,21 @@ def _scale_arrivals(shell: NetworkInstance, epsilon: float):
     if top < epsilon - _SLACK_TOL:
         return None
     if abs(top - epsilon) <= _SLACK_TOL:
-        return with_scale(0.0)
+        return dataclasses.replace(shell, arrivals=scaled(0.0))
     if slack(c_max) > epsilon + _SLACK_TOL:
         return None  # target below what maximal arrivals can pull down to
     lo, hi = 0.0, c_max
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if slack(mid) > epsilon:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if slack(mid) > epsilon else (lo, mid)
+        # slack is deterministic, so each step is a pure function of (lo, hi): once one
+        # leaves them unchanged, every later one would too, and all 80 steps end here.
+        if step == (lo, hi):
+            break
+        lo, hi = step
     for c in (0.5 * (lo + hi), lo, hi):
-        inst = with_scale(c)
-        if abs(traffic_slackness(inst).epsilon - epsilon) <= _SLACK_TOL:
+        if abs(slack(c) - epsilon) <= _SLACK_TOL:
+            inst = dataclasses.replace(shell, arrivals=scaled(c))
             if not validate_instance(inst):
                 return inst
     return None

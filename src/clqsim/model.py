@@ -322,41 +322,47 @@ def net_rate_matrix(inst: NetworkInstance) -> np.ndarray:
     return g
 
 
-def traffic_slackness(
-    inst: SingleQueueInstance | NetworkInstance,
-    cap: int = DEFAULT_SCHEDULE_CAP,
-) -> SlacknessResult:
-    """Solve max eps s.t. sum(phi)=1, phi>=0, net_rate(phi) >= lam + eps.
+def slackness_solver(net: NetworkInstance, cap: int = DEFAULT_SCHEDULE_CAP):
+    """The LP of net's structure, built once, as a solve over arrival means
+    lam: max eps s.t. sum(phi)=1, phi>=0, net_rate(phi) >= lam + eps.
 
     eps <= 0 signals a non-stabilizable instance; the LP itself is
     always feasible (point mass on the zero schedule).
     """
-    net = as_network(inst)
     n_sched = len(net.schedules)
     if n_sched > cap:
         raise EnumerationCapExceeded(f"{n_sched} schedules exceeds cap {cap}")
     g = net_rate_matrix(net)
-    lam = np.asarray(net.arrivals.means)
     n = net.n
     # Columns: phi (n_sched), eps+ , eps-, surplus (n).
     ncols = n_sched + 2 + n
     a = np.zeros((1 + n, ncols))
-    b = np.zeros(1 + n)
     a[0, :n_sched] = 1.0
-    b[0] = 1.0
     for i in range(n):
         a[1 + i, :n_sched] = g[i]
         a[1 + i, n_sched] = -1.0
         a[1 + i, n_sched + 1] = 1.0
         a[1 + i, n_sched + 2 + i] = -1.0
-        b[1 + i] = lam[i]
     c = np.zeros(ncols)
     c[n_sched] = 1.0
     c[n_sched + 1] = -1.0
-    x, value = simplex_maximize(c, a, b)
-    phi = np.clip(x[:n_sched], 0.0, None)
-    phi /= phi.sum()
-    return SlacknessResult(epsilon=float(value), witness=tuple(float(p) for p in phi))
+
+    def solve(means: Sequence[float]) -> SlacknessResult:
+        # simplex_maximize copies a and b, so every solve starts from the same LP.
+        x, value = simplex_maximize(c, a, np.array((1.0, *means)))
+        phi = np.clip(x[:n_sched], 0.0, None)
+        phi /= phi.sum()
+        return SlacknessResult(epsilon=float(value), witness=tuple(float(p) for p in phi))
+
+    return solve
+
+
+def traffic_slackness(
+    inst: SingleQueueInstance | NetworkInstance, cap: int = DEFAULT_SCHEDULE_CAP
+) -> SlacknessResult:
+    """slackness_solver's LP on inst's structure, solved at its arrival means."""
+    net = as_network(inst)
+    return slackness_solver(net, cap)(net.arrivals.means)
 
 
 def slackness_single(inst: SingleQueueInstance) -> float:

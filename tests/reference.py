@@ -11,16 +11,23 @@ metrics._weight, so the bitwise bindings compare like with like.
 The trace-file check is here too: the per-row CSV rendering and the
 line-by-line comparison that engine.replay_csv_error's one-string compare
 must agree with, message for message.
+
+So is the instance generator's arrival scaling in its plainest form
+(scale_arrivals): a fresh instance and a fresh slackness LP at every one
+of 80 bisection steps, which instances._scale_arrivals' one LP build per
+structure, memo and fixed-point stop must reproduce draw for draw.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from clqsim.engine import RandomSource, _masks
+from clqsim.instances import _SLACK_TOL
 from clqsim.metrics import _weight
-from clqsim.model import as_network
+from clqsim.model import ArrivalModel, as_network, traffic_slackness, validate_instance
 from clqsim.policies import PolicyState
 
 
@@ -198,4 +205,43 @@ def replay_csv_error(path: str, trace) -> str | None:
                 return f"line {line}: malformed row"
             name, x, y = next(d for d in zip(want[0].split(","), cells, ref) if d[1] != d[2])
             return f"line {line}: {name} {x!r} differs from the re-run ({y!r})"
+    return None
+
+
+def scale_arrivals(shell, epsilon: float):
+    """instances._scale_arrivals as plain bisection: scale the non-zero
+    arrival rows by c, solve a fresh LP on a fresh instance at each of 80
+    steps, then take the first of (mid, lo, hi) that hits the target and
+    validates; None when none does or the target is out of reach."""
+    support, probs = shell.arrivals.support, shell.arrivals.probs
+    zero_at = support.index((0,) * shell.n)
+
+    def with_scale(c: float):
+        scaled = [p * c if i != zero_at else 0.0 for i, p in enumerate(probs)]
+        scaled[zero_at] = 1.0 - sum(s for i, s in enumerate(scaled) if i != zero_at)
+        return dataclasses.replace(shell, arrivals=ArrivalModel(support=support, probs=tuple(scaled)))
+
+    def slack(c: float) -> float:
+        return traffic_slackness(with_scale(c)).epsilon
+
+    c_max = 1.0 / sum(p for i, p in enumerate(probs) if i != zero_at)
+    top = slack(0.0)
+    if top < epsilon - _SLACK_TOL:
+        return None
+    if abs(top - epsilon) <= _SLACK_TOL:
+        return with_scale(0.0)
+    if slack(c_max) > epsilon + _SLACK_TOL:
+        return None
+    lo, hi = 0.0, c_max
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if slack(mid) > epsilon:
+            lo = mid
+        else:
+            hi = mid
+    for c in (0.5 * (lo + hi), lo, hi):
+        inst = with_scale(c)
+        if abs(traffic_slackness(inst).epsilon - epsilon) <= _SLACK_TOL:
+            if not validate_instance(inst):
+                return inst
     return None

@@ -807,6 +807,11 @@ class TestMakeInstance:
             (["tandem", "--n", "2", "--mu", "0.5,nan", "--lambda0", "0.4"], "invalid instance: mu[1]=nan outside [0,1]"),
             (["tandem", "--n", "2", "--mu", "0.5,1.5", "--lambda0", "0.4"], "invalid instance: mu[1]=1.5 outside [0,1]"),
             (["random-multi", "--k", "3", "--epsilon", "0.1", "--n", "0"], "need n >= 1 queues, got 0"),
+            (
+                ["random-multi", "--n", "4", "--k", "8", "--epsilon", "0.1"],
+                "n must be at most 3 for a multi draw, got 4: its one maximal schedule runs "
+                "at most 3 servers, so some queue would have no capacity",
+            ),
         ],
     )
     def test_invalid_instance_not_written(self, tmp_path, capsys, argv, message):

@@ -1,10 +1,12 @@
 """Named instances, families, and the slackness-targeted generator."""
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from clqsim import model
 from clqsim.instances import (
     GenerationFailed,
     ParameterError,
@@ -14,11 +16,13 @@ from clqsim.instances import (
     tandem_instance,
 )
 from clqsim.model import (
+    ArrivalModel,
     NetworkInstance,
     SingleQueueInstance,
     instance_to_dict,
     single_to_network,
     slackness_single,
+    slackness_solver,
     traffic_slackness,
     validate_instance,
 )
@@ -132,6 +136,59 @@ class TestRandomWithSlackness:
         for kind in ("multi", "network"):
             with pytest.raises(ParameterError, match="n >= 1"):
                 random_with_slackness(n=0, k=3, epsilon=0.1, seed=0, kind=kind)
+
+    @pytest.mark.parametrize("kind", ["multi", "network"])
+    @pytest.mark.parametrize("n, k", [(4, 4), (4, 8), (6, 18)])
+    def test_more_than_three_queues_refused(self, kind, n, k):
+        """A drawn structure's one maximal schedule runs at most 3 servers,
+        so with n > 3 some queue has no capacity and no draw can succeed:
+        the call is refused before any search."""
+        with pytest.raises(ParameterError) as exc:
+            random_with_slackness(n=n, k=k, epsilon=0.1, seed=0, kind=kind)
+        assert str(exc.value) == (
+            f"n must be at most 3 for a {kind} draw, got {n}: its one maximal "
+            "schedule runs at most 3 servers, so some queue would have no capacity"
+        )
+
+    def test_multi_trace_draw_solves_few_lps(self, monkeypatch):
+        """perfbench's multi-trace draw solves at most 65 LPs: the bisection
+        stops at its fixed point and never solves one scale twice (a fresh
+        LP at each of 80 steps made 91)."""
+        solves = []
+        real = model.simplex_maximize
+        monkeypatch.setattr(model, "simplex_maximize", lambda *args: solves.append(1) or real(*args))
+        random_with_slackness(3, 6, 0.1, 7, "multi")
+        assert 0 < len(solves) <= 65
+
+
+def _rescaled(inst, c):
+    """inst with every non-zero arrival row's probability scaled by c and
+    the rest on the zero row: same structure, other arrival means."""
+    zero = (0,) * inst.n
+    probs = [p * c if row != zero else 0.0 for row, p in zip(inst.arrivals.support, inst.arrivals.probs)]
+    probs[inst.arrivals.support.index(zero)] = 1.0 - sum(probs)
+    return dataclasses.replace(inst, arrivals=ArrivalModel(inst.arrivals.support, tuple(probs)))
+
+
+class TestSlacknessSolver:
+    @pytest.mark.parametrize(
+        "args", [(3, 6, 0.1, 7, "multi"), (2, 4, 0.1, 3, "network"), (3, 5, 0.2, 11, "network")]
+    )
+    def test_one_build_equals_traffic_slackness(self, args):
+        """One solver built on a structure gives traffic_slackness' epsilon
+        and witness bit for bit at other arrival means, solved in any order,
+        scales past stability included."""
+        base = random_with_slackness(*args)
+        solve = slackness_solver(base)
+        zero = base.arrivals.support.index((0,) * base.n)
+        c_max = 1.0 / (1.0 - base.arrivals.probs[zero])  # all mass off the zero row
+        variants = [_rescaled(base, c) for c in (0.0, 0.3, 1.0, c_max, 0.7 * c_max, 1.0)]
+        bits = lambda r: (r.epsilon.hex(), [w.hex() for w in r.witness])
+        want = [bits(traffic_slackness(v)) for v in variants]
+        assert [bits(solve(v.arrivals.means)) for v in variants] == want
+        assert [bits(solve(v.arrivals.means)) for v in reversed(variants)] == want[::-1]
+        assert len({w[0] for w in want}) == 5
+        assert float.fromhex(want[3][0]) < 0.0 < float.fromhex(want[0][0])
 
 
 # (n, k) shapes per kind for the generator pin; every shape runs at each

@@ -3,15 +3,16 @@ import math
 import os
 import string
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clqsim import engine
+from clqsim import engine, instances
 from clqsim.engine import replay_error, run, run_network, run_single
-from clqsim.instances import figure1_instance, random_with_slackness, tandem_instance
+from clqsim.instances import GenerationFailed, figure1_instance, random_with_slackness, tandem_instance
 from clqsim.metrics import delta_series, sar_multi, sar_single
 from clqsim.model import (
     ArrivalModel,
@@ -110,6 +111,37 @@ class TestSlacknessAgreement:
         before = traffic_slackness(single_to_network(inst)).epsilon
         after = traffic_slackness(single_to_network(faster)).epsilon
         assert after >= before - 1e-9
+
+
+class TestGeneratorReference:
+    """random_with_slackness bisects with one LP build per drawn structure,
+    a memo on the scale and a stop at the bisection's fixed point; driven
+    by reference.scale_arrivals (a fresh LP at each of 80 steps) it must
+    draw the same instance, or fail with the same message."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(("single", "multi", "network")),
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("multi", 3, 6, 0.1, 7)
+    @example("network", 2, 4, 0.1, 3)
+    def test_draw_equals_reference(self, kind, n, k, epsilon, seed):
+        n = 1 if kind == "single" else n
+        k = max(k, n)
+
+        def draw():
+            try:
+                return instance_to_dict(random_with_slackness(n, k, epsilon, seed, kind))
+            except GenerationFailed as exc:
+                return str(exc)
+
+        fast = draw()
+        with mock.patch.object(instances, "_scale_arrivals", reference.scale_arrivals):
+            assert draw() == fast
 
 
 class TestTraceCsvReplay:
