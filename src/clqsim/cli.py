@@ -465,7 +465,10 @@ def cmd_make_instance(args) -> int:
         if val is not None:
             spec[key] = val
     if args.mu is not None:
-        spec["mu"] = [float(v) for v in args.mu.split(",")]
+        try:
+            spec["mu"] = [float(v) for v in args.mu.split(",")]
+        except ValueError:
+            raise ConfigError(f"mu must be comma-separated real numbers, got {args.mu!r}") from None
     members = resolve_instances(spec)  # each checked before any file is written
     if len(members) == 1:
         save_instance(members[0], args.out)

@@ -196,59 +196,70 @@ def run_single(
     arrive = (RandomSource(seed, "arrival").uniforms(horizon) <= instance.lam).astype(np.int64)
     u_srv = RandomSource(seed, "service").uniforms(horizon)
 
-    if j is not None:
-        q_hist = _lindley(arrive, u_srv <= mu[j])
-        srv_hist = np.where(q_hist[:horizon] > 0, j, -1)
-    else:
+    if j is None:
         # The loop decides itself: round-robin, or (every learner reduces to
         # it on one queue) UCB with ucb_indices' arithmetic, a first-index
         # argmax by strict > where an untried server or the first index at
-        # the clamp 1.0 wins at once.  A full scan bounds the other indices
-        # up to period until (an index cannot fall while t grows and its
-        # tallies stand; 1e-9 covers math.log's last ulp), so while alone (no
-        # other server pulled since), a leader index in (bound, 1.0) wins.
-        u_srv = u_srv.tolist()
-        q_list = [0] * (horizon + 1)
-        srv_list = [-1] * horizon
+        # the clamp 1.0 wins at once.  A full scan's leader j runs a stretch
+        # on locals while its index lies in (floor, 1.0) up to period until,
+        # and the first busy period that fails goes back to the scan.  The
+        # rivals' tallies stand and an index cannot fall while t grows, so
+        # theirs stay below their bound at until (+1e-9 covers math.log's last
+        # ulp).  floor starts at the runner-up's index, which that bound is
+        # never below, so the bound waits until the leader's index tops it.
+        periods = zip(range(1, horizon + 1), arrive.tolist(), u_srv.tolist())
         state, learning = PolicyState(k, 1), handle.learning
         counts, succ = state.counts, state.succ
         sqrt, log = math.sqrt, math.log
-        until, bound, lead, alone, rr, q = 0, 1.0, 0, False, 0, 0
-        for t, a in enumerate(arrive.tolist(), 1):
-            if q:
+        made, rr, q = [0, 0], 0, 0
+        for t, a, x in periods:
+            while q:
                 if not learning:
-                    j = rr % k
-                    rr += 1
-                elif (
-                    t <= until
-                    and alone
-                    and bound < succ[lead] / (c := counts[lead]) + sqrt(2.0 * log(t) / c) < 1.0
-                ):
-                    j = lead
+                    j, rr, until = rr % k, rr + 1, 0
                 else:
-                    two_log, best, j = 2.0 * log(t), -1.0, 0
+                    two_log, best, floor, j = 2.0 * log(t), -1.0, -1.0, 0
                     for i, c in enumerate(counts):
                         if not c or (v := succ[i] / c + sqrt(two_log / c)) >= 1.0:
-                            j = i
+                            j, until = i, 0
                             break
                         if v > best:
-                            best, j = v, i
+                            floor, best, j = best, v, i
+                        elif v > floor:
+                            floor = v
                     else:
-                        until = t + 1 + t // 256
-                        two_log = 2.0 * log(until)
-                        rivals = [succ[i] / c + sqrt(two_log / c) for i, c in enumerate(counts) if i != j]
-                        bound, lead, alone = max(rivals, default=-1.0) + 1e-9, j, True
-                srv_list[t - 1] = j
+                        until, bounded = t + 1 + t // 256, False
+                made += t, j
                 counts[j] += 1
-                if u_srv[t - 1] <= mu[j]:
+                if x <= mu[j]:
                     q -= 1
                     succ[j] += 1
-                if j != lead:
-                    alone = False
+                if not until:  # round-robin, or a scan that stopped at an untried or clamped server
+                    break
+                q, c, s, m = q + a, counts[j], succ[j], mu[j]
+                for t, a, x in periods:
+                    if q:
+                        if t > until or not floor < (v := s / c + sqrt(2.0 * log(t) / c)) < 1.0:
+                            break
+                        if not bounded:
+                            two_log, bounded = 2.0 * log(until), True
+                            rivals = [succ[i] / n + sqrt(two_log / n) for i, n in enumerate(counts) if i != j]
+                            if v <= (floor := max(rivals, default=-1.0) + 1e-9):
+                                break
+                        c += 1
+                        if x <= m:
+                            q -= 1
+                            s += 1
+                    q += a
+                else:
+                    q = 0  # the horizon is done; the path is rebuilt below
+                counts[j], succ[j] = c, s
             q += a
-            q_list[t] = q
-        q_hist = np.array(q_list, dtype=np.int64)
-        srv_hist = np.array(srv_list, dtype=np.int64)
+        # Only decisions are recorded, after a sentinel (0, 0): a busy period's
+        # server is the latest decision's, and _lindley ignores S(t) at Q(t) = 0.
+        made = np.fromiter(made, np.int64, len(made)).reshape(-1, 2)
+        j = np.repeat(made[:, 1], np.diff(made[:, 0], append=horizon + 1))[1:]
+    q_hist = _lindley(arrive, u_srv <= np.array(mu)[j])
+    srv_hist = np.where(q_hist[:horizon] > 0, j, -1)
 
     # Q(t+1) = Q(t) - S(t) + A(t) gives each busy period's service outcome.
     svc_hist = q_hist[:-1] - q_hist[1:] + arrive

@@ -12,6 +12,12 @@ The trace-file check is here too: the per-row CSV rendering and the
 line-by-line comparison that engine.replay_csv_error's one-string compare
 must agree with, message for message.
 
+So is run_single's per-period decision loop for ucb and round-robin
+(run_single_loop): it records every period's queue length and server, and
+holds the leader bound with a flag that a pull of any other server
+clears; run_single's loop records only its decisions and rebuilds the path
+with engine._lindley, and must give the same trace.
+
 So is the instance generator's arrival scaling in its plainest form
 (scale_arrivals): a fresh instance and a fresh slackness LP at every one
 of 80 bisection steps, which instances._scale_arrivals' one LP build per
@@ -82,6 +88,65 @@ def ucb_select(state: PolicyState, q: int, t: int) -> int | None:
         return None
     idx = ucb_indices(state, t)
     return idx.index(max(idx))
+
+
+def run_single_loop(inst, policy: str, horizon: int, seed: int, state: PolicyState | None = None):
+    """(q, schedule, services) of run_single(inst, policy, horizon, seed) for
+    policy "ucb" or "round-robin", one period at a time, with the tallies
+    kept in state (a fresh PolicyState by default).  UCB takes ucb_indices'
+    arithmetic, a first-index argmax by strict > where an untried server or
+    the first index at the clamp 1.0 wins at once.  A full scan bounds the
+    other indices up to period until (1e-9 covers math.log's last ulp), so
+    while alone (no other server pulled since), a leader index in (bound,
+    1.0) wins."""
+    k, mu = inst.k, list(inst.mu)
+    arrive = (RandomSource(seed, "arrival").uniforms(horizon) <= inst.lam).astype(np.int64)
+    u_srv = RandomSource(seed, "service").uniforms(horizon).tolist()
+    q_list = [0] * (horizon + 1)
+    srv_list = [-1] * horizon
+    state = PolicyState(k, 1) if state is None else state
+    counts, succ = state.counts, state.succ
+    until, bound, lead, alone, rr, q = 0, 1.0, 0, False, 0, 0
+    for t, a in enumerate(arrive.tolist(), 1):
+        if q:
+            if policy == "round-robin":
+                j = rr % k
+                rr += 1
+            elif (
+                t <= until
+                and alone
+                and bound < succ[lead] / (c := counts[lead]) + math.sqrt(2.0 * math.log(t) / c) < 1.0
+            ):
+                j = lead
+            else:
+                two_log, best, j = 2.0 * math.log(t), -1.0, 0
+                for i, c in enumerate(counts):
+                    if not c or (v := succ[i] / c + math.sqrt(two_log / c)) >= 1.0:
+                        j = i
+                        break
+                    if v > best:
+                        best, j = v, i
+                else:
+                    until = t + 1 + t // 256
+                    two_log = 2.0 * math.log(until)
+                    rivals = [succ[i] / c + math.sqrt(two_log / c) for i, c in enumerate(counts) if i != j]
+                    bound, lead, alone = max(rivals, default=-1.0) + 1e-9, j, True
+            srv_list[t - 1] = j
+            counts[j] += 1
+            if u_srv[t - 1] <= mu[j]:
+                q -= 1
+                succ[j] += 1
+            if j != lead:
+                alone = False
+        q += a
+        q_list[t] = q
+    schedule = np.zeros((horizon, k), dtype=np.uint8)
+    services = np.zeros((horizon, k), dtype=np.uint8)
+    for t, j in enumerate(srv_list):
+        if j >= 0:
+            schedule[t, j] = 1
+            services[t, j] = q_list[t] - q_list[t + 1] + arrive[t]
+    return np.array(q_list, dtype=np.int64).reshape(-1, 1), schedule, services
 
 
 def ucb_queues_per_server(inst, horizon: int, seed: int) -> list[int]:

@@ -812,6 +812,10 @@ class TestMakeInstance:
                 "n must be at most 3 for a multi draw, got 4: its one maximal schedule runs "
                 "at most 3 servers, so some queue would have no capacity",
             ),
+            (
+                ["tandem", "--n", "3", "--mu", "0.8,x,0.6", "--lambda0", "0.4"],
+                "mu must be comma-separated real numbers, got '0.8,x,0.6'",
+            ),
         ],
     )
     def test_invalid_instance_not_written(self, tmp_path, capsys, argv, message):

@@ -459,6 +459,40 @@ def _least(pred, lo, hi):
 _DETERMINISTIC = SingleQueueInstance(2, 1.0, (0.0, 1.0))
 
 
+class TestRunSingleLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(["ucb", "round-robin"]),
+        st.integers(1, 8).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.35, 0.35]), probs), min_size=k, max_size=k),
+                st.one_of(_tallies(k), _tallies(k, top=3000)),
+            )
+        ),
+        probs,
+        st.integers(1, 4000),
+        st.integers(0, 2**32),
+    )
+    @example("ucb", (list(figure1_instance().mu), [(0, 0)] * 5), 0.45, 4000, 0)
+    @example("ucb", ([0.5, 0.5, 1.0, 0.0], [(900, 450), (900, 450), (3, 1), (0, 0)]), 0.9, 3000, 1)
+    @example("round-robin", ([0.0, 1.0, 0.35], [(0, 0)] * 3), 0.7, 1, 3)
+    def test_run_single_equals_loop(self, policy, law, lam, horizon, seed):
+        """run_single records only its decisions and rebuilds the path with
+        _lindley; run_single_loop records every period.  From the same
+        starting tallies, both give the same q, schedule and services and
+        leave the same tallies."""
+        mu, tallies = law
+        inst = SingleQueueInstance(len(mu), lam, tuple(mu))
+        state, want = [PolicyState(inst.k, 1, [c for c, _ in tallies], [s for _, s in tallies]) for _ in range(2)]
+        with mock.patch.object(engine, "PolicyState", lambda k, n: state):
+            tr = run_single(inst, policy, horizon, seed)
+        q, schedule, services = reference.run_single_loop(inst, policy, horizon, seed, want)
+        np.testing.assert_array_equal(tr.q, q)
+        np.testing.assert_array_equal(tr.schedule, schedule)
+        np.testing.assert_array_equal(tr.services, services)
+        assert (state.counts, state.succ) == (want.counts, want.succ)
+
+
 class TestBoundSelectors:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(_tallies), st.integers(1, 10_000), st.integers(2, 12))
